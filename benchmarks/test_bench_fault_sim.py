@@ -1,13 +1,15 @@
-"""Benchmark: cone-walk vs. event-driven vs. batch stage-3 fault sim.
+"""Microbenchmark: cone-walk vs. event-driven stage-3 fault sim.
 
-Times the decoder-unit stuck-at fault simulation (the wall-clock-dominant
-stage of every compaction campaign) over the IMM pattern set, for all
-three propagation engines (``cone``, ``event``, ``batch``), inline and
-through the persistent worker pool at 2 jobs, asserts all configurations
-stay bit-identical, and writes ``BENCH_fault_sim.json`` at the repo root
-so the performance trajectory (patterns/s, faults/s, per-engine speedups
-over the sequential cone walk, pool speedup, gates evaluated vs.
-skipped) is tracked across PRs.
+Times one decoder-unit stuck-at fault simulation over the IMM pattern
+set, for the production ``event`` engine and the ``cone`` reference,
+inline and through the persistent worker pool at 2 jobs, asserts all
+configurations stay bit-identical, and writes ``BENCH_fault_sim.json``
+at the repo root (patterns/s, faults/s, speedups over the sequential
+cone walk, pool speedup, gates evaluated vs. skipped).
+
+These are stage-3 microbenchmark numbers on one small module, not
+campaign speedups: the end-to-end campaign benchmark is
+``perfbench/run.py`` (``BENCHMARK.json``).
 
 The schedulers are long-lived across the timed repeats, so the pooled
 rows measure steady-state chunk-streaming throughput: workers are
@@ -44,7 +46,7 @@ from repro.isa.instruction import Program
 from repro.netlist.modules import build_decoder_unit
 from repro.stl import generate_imm
 
-_ENGINES = ("cone", "event", "batch")
+_ENGINES = ("cone", "event")
 _JOB_COUNTS = (1, 2)
 _OUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "BENCH_fault_sim.json")
@@ -105,7 +107,6 @@ def test_bench_cone_vs_event_fault_sim():
                     "faults_per_second": len(fault_list) / seconds,
                     "gates_evaluated": last.get("gates_evaluated"),
                     "gates_skipped": last.get("gates_skipped"),
-                    "batches": last.get("batches"),
                     "chunks": last.get("chunks"),
                     "shard_utilization": last.get("shard_utilization"),
                     "inline_fallback": bool(
@@ -121,23 +122,22 @@ def test_bench_cone_vs_event_fault_sim():
     for row in rows:
         row["speedup_vs_cone_1job"] = cone_sequential / row["seconds"]
     event_speedup = by_config[("event", 1)]["speedup_vs_cone_1job"]
-    batch_speedup = by_config[("batch", 1)]["speedup_vs_cone_1job"]
     pool_event_speedup = (by_config[("event", 1)]["seconds"]
                           / by_config[("event", 2)]["seconds"])
     gates_skipped = by_config[("event", 1)]["gates_skipped"]
 
     # Static-prune payoff: the safe triage removes provably untestable
-    # faults before simulation, so the batch engine runs a smaller
+    # faults before simulation, so the event engine runs a smaller
     # worklist for (by soundness) the identical detected set.  Both runs
     # are timed fresh through the same inline path so the ratio is
     # apples-to-apples.
     pruned_list = FaultList(module.netlist, prune="safe")
     prune_ratio = len(pruned_list.pruned) / len(fault_list)
-    batch_sim = FaultSimulator(module.netlist, engine="batch")
+    event_sim = FaultSimulator(module.netlist)
     full_seconds, full_result = _time_run(
-        lambda: batch_sim.run(patterns, fault_list))
+        lambda: event_sim.run(patterns, fault_list))
     pruned_seconds, pruned_result = _time_run(
-        lambda: batch_sim.run(patterns, pruned_list))
+        lambda: event_sim.run(patterns, pruned_list))
     pruned_speedup = full_seconds / pruned_seconds
     # Soundness invariant: pruning only ever removes never-detected
     # faults, so the detected sets agree exactly.
@@ -156,12 +156,11 @@ def test_bench_cone_vs_event_fault_sim():
             "total_faults": len(fault_list),
             "pruned_faults": len(pruned_list.pruned),
             "static_prune_ratio": prune_ratio,
-            "pruned_list_speedup_batch": pruned_speedup,
+            "pruned_list_speedup_event": pruned_speedup,
         },
         "cpu_count": os.cpu_count(),
         "strict": strict,
         "event_speedup_sequential": event_speedup,
-        "batch_speedup_vs_cone_1job": batch_speedup,
         "pool_event_speedup_2jobs": pool_event_speedup,
         "pool": pool_gauges,
         "runs": rows,
@@ -184,7 +183,7 @@ def test_bench_cone_vs_event_fault_sim():
               pool_gauges.get("chunks_dispatched", 0),
               pool_event_speedup))
     print("  static prune: {}/{} fault(s) proven untestable ({:.1%}), "
-          "pruned-list batch run x{:.2f}".format(
+          "pruned-list event run x{:.2f}".format(
               len(pruned_list.pruned), len(fault_list), prune_ratio,
               pruned_speedup))
 
@@ -193,9 +192,6 @@ def test_bench_cone_vs_event_fault_sim():
     # it must actually have skipped dead-cone work.
     assert gates_skipped and gates_skipped > 0
     assert by_config[("cone", 1)]["gates_skipped"] == 0
-    # The batch engine really batched (the counter only moves on compiled
-    # batch evaluations).
-    assert by_config[("batch", 1)]["batches"] > 0
     # Pooled rows really went through the pool (workers + chunks), and
     # never silently fell back inline.
     assert pool_gauges.get("workers_spawned", 0) >= 2
@@ -213,9 +209,6 @@ def test_bench_cone_vs_event_fault_sim():
         assert event_speedup > 1.2, (
             "event engine regressed to x{:.2f} vs cone".format(
                 event_speedup))
-        assert batch_speedup >= 5.0, (
-            "batch engine only x{:.2f} vs sequential cone (needs >= 5)"
-            .format(batch_speedup))
         if (os.cpu_count() or 1) >= 2:
             assert pool_event_speedup >= 1.2, (
                 "2-job pool only x{:.2f} vs sequential event on a "

@@ -176,8 +176,7 @@ def cmd_compact(args):
     module = _build_module(ptp.target, args.width)
     jobs, cache, metrics = _exec_options(args)
     with CompactionPipeline(module, jobs=jobs, cache=cache,
-                            metrics=metrics, engine=args.engine,
-                            verify=args.verify,
+                            metrics=metrics, verify=args.verify,
                             chunk_size=args.chunk_size,
                             pool=not args.no_pool,
                             static_prune=args.static_prune,
@@ -231,7 +230,6 @@ def cmd_campaign(args):
         jobs=jobs,
         cache=cache,
         metrics=metrics,
-        engine=args.engine,
         verify=args.verify,
         chunk_size=args.chunk_size,
         pool=not args.no_pool,
@@ -307,12 +305,6 @@ def _add_exec_arguments(parser):
     group.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="write the run-metrics JSON here (campaign "
                             "default: metrics.json next to the checkpoint)")
-    group.add_argument("--engine", choices=("event", "cone", "batch"),
-                       default="event",
-                       help="fault-propagation engine (default: event; "
-                            "results are bit-identical across all three: "
-                            "the cone walk is the slower reference, batch "
-                            "is the vectorized numpy backend)")
     group.add_argument("--verify", choices=("strict", "warn", "off"),
                        default="warn",
                        help="static verification of the reduced PTP "

@@ -349,7 +349,7 @@ class CompactionCampaign:
 
 def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
                      reverse_for=("SFU_IMM",), evaluate=True, jobs=None,
-                     cache=None, metrics=None, engine="event",
+                     cache=None, metrics=None,
                      verify="warn", scheduler=None, chunk_size=None,
                      pool=True, static_prune="off", rank=None,
                      incremental="off", **kwargs):
@@ -377,8 +377,6 @@ def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
         metrics: optional shared
             :class:`~repro.exec.metrics.RunMetrics` accumulating over
             the whole multi-module campaign.
-        engine: fault-propagation engine for every per-module pipeline
-            (``"event"``/``"cone"``/``"batch"``; bit-identical results).
         verify: static-verification mode for every per-module pipeline
             (``"strict"``/``"warn"``/``"off"``); a strict failure is
             isolated like any other per-PTP error and the diagnostics
@@ -425,7 +423,7 @@ def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
             campaign = CompactionCampaign(
                 CompactionPipeline(modules[target], gpu=gpu, jobs=jobs,
                                    cache=cache, metrics=metrics,
-                                   engine=engine, verify=verify,
+                                   verify=verify,
                                    scheduler=scheduler,
                                    static_prune=static_prune, rank=rank,
                                    incremental=incremental),

@@ -48,7 +48,7 @@ class FcEvaluation:
 
 def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
                 reverse_patterns=False, cache=None, scheduler=None,
-                metrics=None, engine="event", incremental=None):
+                metrics=None, incremental=None):
     """Fault-simulate *ptp* end to end and report its FC.
 
     Args:
@@ -70,16 +70,13 @@ def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
             module-observability fault simulation (the signature fold is
             sequential — its per-thread MISR state does not shard).  A
             campaign-shared scheduler reuses its already-primed worker
-            pool here; evaluation always simulates the *full* fault list,
-            so broadcast drop-skipping never applies to it.
+            pool here; evaluation always simulates the *full* fault list.
         metrics: optional :class:`~repro.exec.metrics.RunMetrics`.
-        engine: fault-propagation engine (``"event"``/``"cone"``/
-            ``"batch"``); results are bit-identical either way.
         incremental: optional
             :class:`~repro.exec.incremental.IncrementalFaultSim` — the
             module-observability simulation then restores unchanged-cone
             detection state from the fault-state record keyed by
-            (*ptp* name, *module*, *engine*) and re-simulates only the
+            (*ptp* name, *module*, engine) and re-simulates only the
             invalidated remainder.  Signature-observability evaluations
             ignore it (the MISR fold consumes result-bus value *diffs*,
             which the record does not carry).
@@ -100,7 +97,7 @@ def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
     if reverse_patterns:
         report = report.reversed()
     patterns = report.to_pattern_set()
-    simulator = FaultSimulator(module.netlist, engine=engine)
+    simulator = FaultSimulator(module.netlist)
 
     if observability == "signature":
         result, signature_detected = simulator.run_signature(
@@ -109,7 +106,8 @@ def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
         detected = {fault for fault, hit in zip(fault_list,
                                                 signature_detected) if hit}
     elif incremental is not None:
-        key = incremental.cache.fault_state_key(ptp.name, module, engine)
+        key = incremental.cache.fault_state_key(ptp.name, module,
+                                                simulator.engine)
         result, __info = incremental.run(scheduler, simulator, patterns,
                                          fault_list, key)
         detected = set(result.detected_faults)

@@ -124,10 +124,6 @@ class CompactionPipeline:
             memoizing stage-2 tracing artifacts across runs.
         metrics: optional :class:`~repro.exec.metrics.RunMetrics`
             accumulating stage timings, throughput, and cache counters.
-        engine: stage-3/5 fault-propagation engine, ``"event"`` (default),
-            ``"cone"``, or the vectorized ``"batch"`` — bit-identical
-            results either way (see :mod:`repro.faults.propagate` and
-            :mod:`repro.faults.batch`).
         scheduler: optional shared
             :class:`~repro.exec.scheduler.ShardedFaultScheduler` — a
             campaign passes one scheduler to every per-module pipeline so
@@ -172,10 +168,16 @@ class CompactionPipeline:
             :class:`~repro.errors.IncrementalError` unless the restored
             result is bit-identical (the soundness oracle).  Requires a
             *cache*; ``"off"`` (default) is the seed behavior.
+
+    Attributes:
+        simulator: the stage-3 :class:`~repro.faults.fault_sim.FaultSimulator`
+            (the default event engine).  Differential tests replace it
+            with the ``"cone"`` reference; stage-3 runs and the
+            fault-state key read it at every :meth:`compact`.
     """
 
     def __init__(self, module, gpu=None, collapse=True, jobs=None,
-                 cache=None, metrics=None, engine="event", verify="warn",
+                 cache=None, metrics=None, verify="warn",
                  scheduler=None, chunk_size=None, pool=True,
                  static_prune="off", rank=None, incremental="off"):
         if verify not in VERIFY_MODES:
@@ -206,8 +208,7 @@ class CompactionPipeline:
             metrics.record_static_triage(
                 self.static_prune, self.rank,
                 self.fault_report.untestable_faults, dominance.num_classes)
-        self.simulator = FaultSimulator(module.netlist, engine=engine)
-        self.engine = engine
+        self.simulator = FaultSimulator(module.netlist)
         self.cache = cache
         self.metrics = metrics
         self.incremental = validate_incremental_mode(incremental or "off")
@@ -337,15 +338,14 @@ class CompactionPipeline:
         with self._timed("fault_simulation"):
             if self._incremental is not None:
                 state_key = self.cache.fault_state_key(
-                    ptp.name, self.module, self.engine)
+                    ptp.name, self.module, self.simulator.engine)
                 cache_keys["fault_state_record"] = state_key
                 fault_result, __info = self._incremental.run(
                     self.scheduler, self.simulator, patterns, target_list,
-                    state_key, skip_dropped=dropping)
+                    state_key)
             else:
                 fault_result = self.scheduler.run(self.simulator, patterns,
-                                                  target_list,
-                                                  skip_dropped=dropping)
+                                                  target_list)
         # Strict mode: re-simulate the statically pruned faults against
         # this PTP's patterns under the differential oracle.  Raises (and
         # aborts before the fault report is mutated) if any proof is
@@ -395,13 +395,9 @@ class CompactionPipeline:
                     report=verification)
 
         if dropping:
-            dropped, drop_records = self.fault_report.drop_result(
-                fault_result, ptp.name)
-            # Publish the drops to the worker pool: later skip_dropped
-            # runs (this module's next PTPs) never re-simulate them, with
-            # detection credit staying attributed exactly as the report
-            # recorded it.
-            self.scheduler.broadcast_drops(self.simulator, drop_records)
+            # The next PTP's worklist is the shrunken remaining list, so
+            # dropped faults never reach the scheduler again.
+            dropped = self.fault_report.drop_result(fault_result, ptp.name)
         else:
             dropped = 0
 
@@ -433,13 +429,13 @@ class CompactionPipeline:
                     ptp, self.module, fault_list=eval_list, gpu=self.gpu,
                     reverse_patterns=reverse_patterns, cache=self.cache,
                     scheduler=self.scheduler, metrics=self.metrics,
-                    engine=self.engine, incremental=self._incremental)
+                    incremental=self._incremental)
                 compacted_eval = evaluate_fc(
                     reduction.compacted, self.module, fault_list=eval_list,
                     gpu=self.gpu,
                     reverse_patterns=reverse_patterns, cache=self.cache,
                     scheduler=self.scheduler, metrics=self.metrics,
-                    engine=self.engine, incremental=self._incremental)
+                    incremental=self._incremental)
                 if original_eval.cache_key is not None:
                     cache_keys["evaluation_original"] = (
                         original_eval.cache_key)

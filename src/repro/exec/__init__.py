@@ -7,8 +7,8 @@ they compute:
   campaign-lifetime worker pool and merges the results bit-identically
   to the sequential run;
 * :mod:`repro.exec.pool` — the persistent worker pool itself: one-shot
-  netlist/pattern priming per worker, dynamic chunk sizing, fault-drop
-  broadcast, and death/poison recovery;
+  netlist/pattern priming per worker, dynamic chunk sizing, and
+  death/poison recovery;
 * :mod:`repro.exec.cache` — content-addressed on-disk memoization of
   stage-2 tracing artifacts (SHA-256 keys over PTP content, GPU config,
   module fingerprint, stage name) with atomic writes and an LRU cap;

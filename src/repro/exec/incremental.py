@@ -116,8 +116,7 @@ class IncrementalFaultSim:
 
     # -- public entry point ----------------------------------------------
 
-    def run(self, scheduler, simulator, patterns, fault_list, key,
-            skip_dropped=False):
+    def run(self, scheduler, simulator, patterns, fault_list, key):
         """Incremental equivalent of ``scheduler.run(...)`` (or of
         ``simulator.run(...)`` when *scheduler* is None).
 
@@ -134,7 +133,7 @@ class IncrementalFaultSim:
         n = len(fault_list)
         if patterns.count == 0 or n == 0:
             result = self._full_run(scheduler, simulator, patterns,
-                                    fault_list, skip_dropped)
+                                    fault_list)
             self._note(info)
             return result, info
 
@@ -184,7 +183,7 @@ class IncrementalFaultSim:
 
         if resim_count == n:
             result = self._full_run(scheduler, simulator, patterns,
-                                    fault_list, skip_dropped, restored=0)
+                                    fault_list, restored=0)
             words = list(result.detection_words)
         else:
             if resim_count:
@@ -194,7 +193,7 @@ class IncrementalFaultSim:
                         dense[offsets[i]] = fault_list[i]
                 sub_result = self._full_run(
                     scheduler, simulator, patterns,
-                    FaultList(simulator.netlist, dense), skip_dropped,
+                    FaultList(simulator.netlist, dense),
                     restored=restored_count)
                 for i in range(n):
                     if flags[i]:
@@ -207,7 +206,7 @@ class IncrementalFaultSim:
         if self.mode == "strict" and restored_count:
             info["strict_checks"] += 1
             self._strict_check(result, scheduler, simulator, patterns,
-                               fault_list, skip_dropped)
+                               fault_list)
 
         self._store(key, record, observed, groups, group_proj, fault_list,
                     words, flags, pair_cache)
@@ -500,20 +499,19 @@ class IncrementalFaultSim:
         return schedule
 
     @staticmethod
-    def _full_run(scheduler, simulator, patterns, fault_list, skip_dropped,
+    def _full_run(scheduler, simulator, patterns, fault_list,
                   restored=None):
         if scheduler is not None:
             return scheduler.run(simulator, patterns, fault_list,
-                                 skip_dropped=skip_dropped,
                                  restored=restored)
         return simulator.run(patterns, fault_list)
 
     def _strict_check(self, result, scheduler, simulator, patterns,
-                      fault_list, skip_dropped):
+                      fault_list):
         """The strict-mode oracle: re-simulate everything from scratch
         and require bit-identity with the restored result."""
         reference = self._full_run(scheduler, simulator, patterns,
-                                   fault_list, skip_dropped)
+                                   fault_list)
         mismatches = sum(
             1 for ours, theirs in zip(result.detection_words,
                                       reference.detection_words)

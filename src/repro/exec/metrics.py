@@ -13,8 +13,8 @@ campaign and records:
   (jobs x elapsed) that shards spent simulating, averaged over sharded
   runs (1.0 = perfectly balanced shards with zero pool overhead);
 * worker-pool gauges — workers spawned/died, per-worker context and
-  pattern priming, chunks dispatched/requeued/inlined, drop records
-  broadcast/shipped/skipped, and cumulative worker-init seconds.
+  pattern priming, chunks dispatched/requeued/inlined, and cumulative
+  worker-init seconds.
 
 The document is JSON-serializable (:meth:`RunMetrics.to_dict`), persists
 atomically next to the campaign checkpoint (:meth:`RunMetrics.save`, same
@@ -31,7 +31,7 @@ import time
 from contextlib import contextmanager
 
 #: Bumped whenever the metrics JSON layout changes incompatibly.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class RunMetrics:
@@ -77,7 +77,7 @@ class RunMetrics:
     def record_fault_sim(self, faults, patterns, seconds, jobs=1,
                          shard_busy_seconds=None, engine=None,
                          gates_evaluated=None, gates_skipped=None,
-                         chunks=None, batches=None, restored=None):
+                         chunks=None, restored=None):
         """Record one fault-simulation run.
 
         Args:
@@ -87,14 +87,12 @@ class RunMetrics:
             jobs: worker processes used (1 = sequential/inline).
             shard_busy_seconds: per-chunk busy times (pooled runs only);
                 utilization = sum(busy) / (jobs * wall).
-            engine: propagation engine name
-                (``"event"``/``"cone"``/``"batch"``).
+            engine: propagation engine name (``"event"``/``"cone"``).
             gates_evaluated: gate evaluations spent propagating faults.
             gates_skipped: static-cone gates the engine never touched
                 (the event engine's trimmed execution redundancy; 0 for
                 the cone walk).
             chunks: streamed chunk count (pooled runs only).
-            batches: compiled fault batches evaluated (batch engine only).
             restored: faults whose detection state was restored from the
                 incremental fault-state cache instead of simulated
                 (incremental runs only).
@@ -116,8 +114,6 @@ class RunMetrics:
             run["gates_skipped"] = gates_skipped
         if chunks is not None:
             run["chunks"] = chunks
-        if batches is not None:
-            run["batches"] = batches
         if restored is not None:
             run["faults_restored"] = restored
         if shard_busy_seconds is not None:
@@ -149,7 +145,7 @@ class RunMetrics:
 
     def record_pool_event(self, event, amount=1):
         """Count one worker-pool event (``workers_spawned``,
-        ``chunks_dispatched``, ``drops_broadcast``, ...)."""
+        ``chunks_dispatched``, ``chunks_requeued``, ...)."""
         self.pool[event] = self.pool.get(event, 0) + amount
 
     def record_pool_seconds(self, gauge, seconds):
@@ -229,11 +225,6 @@ class RunMetrics:
         return sum(run.get("gates_skipped") or 0
                    for run in self.fault_sim_runs)
 
-    @property
-    def total_batches(self):
-        return sum(run.get("batches") or 0
-                   for run in self.fault_sim_runs)
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self):
@@ -253,7 +244,6 @@ class RunMetrics:
                 "mean_shard_utilization": self.mean_shard_utilization(),
                 "total_gates_evaluated": self.total_gates_evaluated,
                 "total_gates_skipped": self.total_gates_skipped,
-                "total_batches": self.total_batches,
             },
             "cache": dict(self.cache),
             "counters": dict(self.counters),
@@ -315,7 +305,6 @@ class RunMetrics:
             else "{:.0%}".format(utilization)))
         lines.append("  gates eval/skip   : {} / {}".format(
             self.total_gates_evaluated, self.total_gates_skipped))
-        lines.append("  fault batches     : {}".format(self.total_batches))
         lines.append("  verify            : {} run(s), {} error(s), "
                      "{} warning(s)".format(
                          self.counters.get("verify.runs", 0),
@@ -345,12 +334,9 @@ class RunMetrics:
                          self.cache.get("evictions", 0),
                          self.cache.get("corrupt", 0)))
         lines.append("  worker pool       : {} spawned, {} death(s), "
-                     "{} chunk(s), {} requeue(d), {} drop(s) broadcast, "
-                     "{} drop-skip(s)".format(
+                     "{} chunk(s), {} requeue(d)".format(
                          self.pool.get("workers_spawned", 0),
                          self.pool.get("worker_deaths", 0),
                          self.pool.get("chunks_dispatched", 0),
-                         self.pool.get("chunks_requeued", 0),
-                         self.pool.get("drops_broadcast", 0),
-                         self.pool.get("drops_skipped", 0)))
+                         self.pool.get("chunks_requeued", 0)))
         return "\n".join(lines)

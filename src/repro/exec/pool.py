@@ -16,16 +16,11 @@ module replaces it with a pool that is created **once per campaign**:
   each worker holds a small dispatch window and receives the next chunk
   as soon as it returns one, so an unlucky slow chunk no longer idles
   the other workers the way one-shard-per-worker splitting did.
-* **Fault-drop broadcast.**  When the campaign layer drops faults that
-  a run first-detected, the ``(fault id, first-detection cc)`` records
-  are published to every worker (:meth:`WorkerPool.broadcast_drops`).
-  Workers keep a per-context dropped-id set and, for runs that opt in
-  (``skip_dropped``), silently skip chunk members that were already
-  dropped — preserving the sequential fault-dropping semantics exactly:
-  a dropped fault's detection credit stays with the PTP that first
-  detected it (:class:`~repro.faults.dropping.FaultListReport` ignores
-  re-detections), so a skipped member reports ``word=0 / first=None``
-  just as if the caller had pre-filtered it out of the target list.
+* **No drop state in the workers.**  Fault dropping is applied by the
+  caller before a run: under dropping, the pipeline's stage-3 worklist
+  is the fault report's remaining list, so an already-dropped fault
+  never reaches a chunk.  Workers are stateless with respect to
+  dropping, which is what lets one pool serve consecutive campaigns.
 * **Deterministic reconciliation.**  Chunks are contiguous slices of
   the caller's fault list and results are merged by slice position, so
   the merged :class:`~repro.faults.fault_sim.FaultSimResult` is
@@ -40,7 +35,10 @@ module replaces it with a pool that is created **once per campaign**:
   (poisoned input) is retried on a different worker and finally
   simulated inline in the parent; if even that fails, the run raises
   :class:`~repro.errors.SchedulerError` (a ``ReproError``, so campaign
-  per-PTP isolation catches it) and the pool stays usable.
+  per-PTP isolation catches it) and the pool stays usable.  Each worker
+  sends its results through a pipe of its own: a result queue shared by
+  all workers is guarded by one write lock, and a worker killed while
+  holding it would block every surviving worker's results forever.
 
 The pool is lazy: constructing :class:`WorkerPool` allocates nothing —
 queues and processes appear at the first :meth:`simulate` call, so a
@@ -53,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import queue as queue_module
+import multiprocessing.connection
 import time
 import traceback
 
@@ -63,7 +61,7 @@ from ..errors import SchedulerError
 #: dispatch overhead would dominate); explicit ``chunk_size`` overrides.
 MIN_AUTO_CHUNK = 16
 
-#: How long the parent waits on the result queue before polling worker
+#: How long the parent waits on the result pipes before polling worker
 #: liveness (seconds).  Only latency of *death detection*, not of results.
 _POLL_SECONDS = 0.1
 
@@ -74,8 +72,9 @@ def _stats_delta(simulator, before):
             for key, value in simulator.stats.items()}
 
 
-def _release_tasks(worker):
-    """Release a worker's task queue WITHOUT joining its feeder thread.
+def _release_pipes(worker):
+    """Close a worker's result pipe and release its task queue WITHOUT
+    joining the queue's feeder thread.
 
     A killed worker leaves its task pipe unread, and sibling workers
     forked before it died still hold the pipe's read end open — so the
@@ -85,6 +84,7 @@ def _release_tasks(worker):
     ``cancel_join_thread`` opts this queue out (dropping undelivered
     messages is fine — the recipient is dead).
     """
+    worker.results.close()
     try:
         worker.tasks.cancel_join_thread()
         worker.tasks.close()
@@ -95,11 +95,10 @@ def _release_tasks(worker):
 # -- worker process side ----------------------------------------------------
 
 class _WorkerState:
-    """Per-process caches: contexts, pattern sets, dropped-fault ids."""
+    """Per-process caches: contexts and pattern sets."""
 
     def __init__(self):
-        self.contexts = {}   # ctx_id -> (simulator, canonical FaultList,
-        #                                 dropped-id set)
+        self.contexts = {}   # ctx_id -> (simulator, canonical FaultList)
         self.patterns = {}   # (ctx_id, pat_id) -> PatternSet
 
 
@@ -110,56 +109,44 @@ def _prime_context(state, ctx_id, netlist, observed, engine):
     simulator = FaultSimulator(netlist, observed_outputs=observed,
                                engine=engine)
     canonical = FaultList(netlist)
-    state.contexts[ctx_id] = (simulator, canonical, set())
+    state.contexts[ctx_id] = (simulator, canonical)
 
 
 def _prime_patterns(state, ctx_id, pat_id, packed, count):
     from ..netlist.simulator import PatternSet
 
-    simulator, __, __ = state.contexts[ctx_id]
+    simulator, __ = state.contexts[ctx_id]
     patterns = PatternSet(simulator.netlist)
     patterns.packed = dict(packed)
     patterns.count = count
     state.patterns[(ctx_id, pat_id)] = patterns
 
 
-def _run_chunk(state, ctx_id, pat_id, entries, skip_dropped):
-    """Simulate one chunk; returns (words, firsts, busy, stats, skipped).
+def _run_chunk(state, ctx_id, pat_id, entries):
+    """Simulate one chunk; returns (words, firsts, busy, stats).
 
     *entries* mixes canonical fault ids (ints) with literal
     :class:`StuckAtFault` objects (faults outside the canonical collapsed
-    enumeration).  Skipped (already-dropped) members keep their slots with
-    ``word=0 / first=None``.
+    enumeration).
     """
     from ..faults.fault import FaultList
 
-    simulator, canonical, dropped = state.contexts[ctx_id]
+    simulator, canonical = state.contexts[ctx_id]
     patterns = state.patterns[(ctx_id, pat_id)]
-    faults = []
-    kept = []
-    for position, entry in enumerate(entries):
-        if isinstance(entry, int):
-            if skip_dropped and entry in dropped:
-                continue
-            entry = canonical[entry]
-        faults.append(entry)
-        kept.append(position)
+    faults = [canonical[entry] if isinstance(entry, int) else entry
+              for entry in entries]
     before = dict(simulator.stats)
     started = time.perf_counter()
     result = simulator.run(patterns,
                            FaultList(simulator.netlist, faults))
     busy = time.perf_counter() - started
-    words = [0] * len(entries)
-    firsts = [None] * len(entries)
-    for slot, position in enumerate(kept):
-        words[position] = result.detection_words[slot]
-        firsts[position] = result.first_detection[slot]
-    return (words, firsts, busy, _stats_delta(simulator, before),
-            len(entries) - len(kept))
+    return (result.detection_words, result.first_detection, busy,
+            _stats_delta(simulator, before))
 
 
 def _worker_main(worker_id, tasks, results):
-    """Worker loop: prime contexts/patterns/drops, stream chunk results."""
+    """Worker loop: prime contexts/patterns, send chunk results down the
+    *results* connection."""
     state = _WorkerState()
     while True:
         message = tasks.get()
@@ -172,22 +159,18 @@ def _worker_main(worker_id, tasks, results):
                 __, ctx_id, netlist, observed, engine = message
                 started = time.perf_counter()
                 _prime_context(state, ctx_id, netlist, observed, engine)
-                results.put(("primed", worker_id, ctx_id,
-                             time.perf_counter() - started))
+                results.send(("primed", worker_id, ctx_id,
+                              time.perf_counter() - started))
             elif tag == "patterns":
                 __, ctx_id, pat_id, packed, count = message
                 _prime_patterns(state, ctx_id, pat_id, packed, count)
-            elif tag == "drops":
-                __, ctx_id, fault_ids = message
-                state.contexts[ctx_id][2].update(fault_ids)
             elif tag == "chunk":
-                __, job_id, ctx_id, pat_id, entries, skip_dropped = message
-                payload = _run_chunk(state, ctx_id, pat_id, entries,
-                                     skip_dropped)
-                results.put(("result", worker_id, job_id) + payload)
+                __, job_id, ctx_id, pat_id, entries = message
+                payload = _run_chunk(state, ctx_id, pat_id, entries)
+                results.send(("result", worker_id, job_id) + payload)
         except Exception:
-            results.put(("error", worker_id, job_id,
-                         traceback.format_exc()))
+            results.send(("error", worker_id, job_id,
+                          traceback.format_exc()))
 
 
 # -- parent side ------------------------------------------------------------
@@ -196,7 +179,7 @@ class _Context:
     """Parent-side registry entry for one (netlist, observed, engine)."""
 
     __slots__ = ("ctx_id", "netlist", "observed", "engine", "index",
-                 "drops", "dropped_ids", "patterns")
+                 "patterns")
 
     def __init__(self, ctx_id, netlist, observed, engine, index):
         self.ctx_id = ctx_id
@@ -204,8 +187,6 @@ class _Context:
         self.observed = observed
         self.engine = engine
         self.index = index          # canonical fault -> id
-        self.drops = []             # broadcast log: (fault_id, first_cc)
-        self.dropped_ids = set()
         self.patterns = {}          # id(patterns) -> (patterns, pat_id,
         #                                              count)
 
@@ -217,16 +198,16 @@ class _Context:
 class _Worker:
     """Parent-side handle of one worker process and its primed state."""
 
-    __slots__ = ("worker_id", "process", "tasks", "contexts", "patterns",
-                 "drops_sent", "inflight")
+    __slots__ = ("worker_id", "process", "tasks", "results", "contexts",
+                 "patterns", "inflight")
 
-    def __init__(self, worker_id, process, tasks):
+    def __init__(self, worker_id, process, tasks, results):
         self.worker_id = worker_id
         self.process = process
         self.tasks = tasks
+        self.results = results      # receiving end of the result pipe
         self.contexts = set()       # primed ctx_ids
         self.patterns = set()       # primed (ctx_id, pat_id)
-        self.drops_sent = {}        # ctx_id -> prefix length of ctx.drops
         self.inflight = {}          # job_id -> _Job
 
     @property
@@ -265,7 +246,6 @@ class WorkerPool:
         self.metrics = metrics
         self.max_retries = max_retries
         self._mp = None             # multiprocessing context, once started
-        self._results = None
         self._workers = []
         self._contexts = []
         self._ids = itertools.count()
@@ -299,55 +279,29 @@ class WorkerPool:
         self._contexts.append(context)
         return context
 
-    def broadcast_drops(self, simulator, records):
-        """Publish dropped-fault records for *simulator*'s context.
-
-        Args:
-            records: iterable of ``(fault, first_cc)`` pairs (the faults a
-                :class:`~repro.faults.dropping.FaultListReport` just
-                dropped, with the clock cycle that first detected them).
-
-        Records are deduplicated first-writer-wins (re-detections by a
-        later PTP never steal the attribution, matching
-        ``FaultListReport.drop``); faults outside the canonical collapsed
-        enumeration cannot be referenced by id and are skipped.  Workers
-        receive the new records lazily, piggybacked on their next chunk
-        dispatch — there is no broadcast latency a correctness argument
-        depends on, because the parent also never puts an already-dropped
-        fault into a chunk built from a filtered remaining list.
-        """
-        context = self.context_for(simulator)
-        added = 0
-        for fault, first_cc in records:
-            fault_id = context.index.get(fault)
-            if fault_id is None or fault_id in context.dropped_ids:
-                continue
-            context.dropped_ids.add(fault_id)
-            context.drops.append((fault_id, first_cc))
-            added += 1
-        if added:
-            self._bump("drops_broadcast", added)
-        return added
-
     # -- lifecycle -------------------------------------------------------
 
     def _start(self):
-        """Allocate the multiprocessing context and result queue (first
-        simulate only; raises OSError-family on restricted platforms)."""
+        """Allocate the multiprocessing context (first simulate only)."""
         methods = multiprocessing.get_all_start_methods()
         method = "fork" if "fork" in methods else None
         self._mp = multiprocessing.get_context(method)
-        self._results = self._mp.Queue()
 
     def _spawn_worker(self):
+        """Start one worker (raises OSError-family on restricted
+        platforms)."""
         worker_id = next(self._ids)
         tasks = self._mp.Queue()
+        results, sender = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
-            target=_worker_main, args=(worker_id, tasks, self._results),
+            target=_worker_main, args=(worker_id, tasks, sender),
             daemon=True, name="repro-fault-sim-{}".format(worker_id))
         process.start()
+        # The worker must hold the only send end, so that its death
+        # mid-send reads as EOF rather than as a message that never ends.
+        sender.close()
         self._bump("workers_spawned")
-        return _Worker(worker_id, process, tasks)
+        return _Worker(worker_id, process, tasks, results)
 
     def _ensure_workers(self):
         """Start the pool / replace dead workers up to the target count."""
@@ -361,7 +315,7 @@ class WorkerPool:
                 survivors.append(worker)
             else:
                 self._bump("worker_deaths")
-                _release_tasks(worker)
+                _release_pipes(worker)
         self._workers = survivors
         while len(self._workers) < self.target_workers:
             self._workers.append(self._spawn_worker())
@@ -386,14 +340,8 @@ class WorkerPool:
                 worker.process.terminate()
                 worker.process.join(timeout=1)
         for worker in self._workers:
-            _release_tasks(worker)
+            _release_pipes(worker)
         self._workers = []
-        if self._results is not None:
-            try:
-                self._results.close()
-            except (OSError, ValueError):
-                pass
-            self._results = None
 
     def __enter__(self):
         return self
@@ -427,12 +375,11 @@ class WorkerPool:
         return pat_id
 
     def _prime(self, worker, context, patterns, pat_id):
-        """Send *worker* whatever context/pattern/drop state it lacks."""
+        """Send *worker* whatever context/pattern state it lacks."""
         if context.ctx_id not in worker.contexts:
             worker.tasks.put(("context", context.ctx_id, context.netlist,
                               list(context.observed), context.engine))
             worker.contexts.add(context.ctx_id)
-            worker.drops_sent[context.ctx_id] = 0
             self._bump("contexts_shipped")
         key = (context.ctx_id, pat_id)
         if key not in worker.patterns:
@@ -440,26 +387,18 @@ class WorkerPool:
                               patterns.packed, patterns.count))
             worker.patterns.add(key)
             self._bump("patterns_shipped")
-        sent = worker.drops_sent.get(context.ctx_id, 0)
-        if sent < len(context.drops):
-            fresh = [fault_id for fault_id, __ in context.drops[sent:]]
-            worker.tasks.put(("drops", context.ctx_id, fresh))
-            worker.drops_sent[context.ctx_id] = len(context.drops)
-            self._bump("drops_shipped", len(fresh))
 
     # -- the run ---------------------------------------------------------
 
     def simulate(self, simulator, patterns, fault_list, chunk_size=None,
-                 chunks_per_worker=4, skip_dropped=False):
+                 chunks_per_worker=4):
         """Chunked pooled equivalent of ``simulator.run(patterns,
         fault_list)``.
 
-        Returns ``(words, firsts, chunk_busy, stats, skipped)`` where
+        Returns ``(words, firsts, chunk_busy, stats)`` where
         *words*/*firsts* are in fault-list order and bit-identical to the
-        sequential run (skipped members excepted, see module docstring),
-        *chunk_busy* is the per-chunk worker busy time, *stats* the summed
-        propagation-counter deltas, and *skipped* the number of
-        broadcast-dropped members the workers never simulated.
+        sequential run, *chunk_busy* is the per-chunk worker busy time,
+        and *stats* the summed propagation-counter deltas.
         """
         workers = self._ensure_workers()
         context = self.context_for(simulator)
@@ -472,12 +411,6 @@ class WorkerPool:
         if size is None:
             target = max(1, len(workers) * chunks_per_worker)
             size = max(MIN_AUTO_CHUNK, -(-total // target))
-            # The batch engine simulates whole fixed-width row batches;
-            # rounding auto-sized chunks up to that quantum keeps pooled
-            # chunks from ending in padded partial batches.
-            quantum = getattr(simulator, "batch_rows", None)
-            if quantum:
-                size = -(-size // quantum) * quantum
         jobs = {}
         for start in range(0, total, size):
             job = _Job(next(self._ids), start, entries[start:start + size])
@@ -488,7 +421,6 @@ class WorkerPool:
         filled = [False] * total
         busy = []
         stats = {}
-        skipped = 0
         unassigned = list(jobs.values())
         unassigned.reverse()        # pop() dispatches in fault-list order
         done = set()
@@ -497,7 +429,7 @@ class WorkerPool:
             try:
                 self._prime(worker, context, patterns, pat_id)
                 worker.tasks.put(("chunk", job.job_id, context.ctx_id,
-                                  pat_id, job.entries, skip_dropped))
+                                  pat_id, job.entries))
             except (OSError, ValueError, BrokenPipeError):
                 self._mark_dead(worker)
                 unassigned.append(job)
@@ -510,15 +442,7 @@ class WorkerPool:
             """Last-resort parent-side simulation of one chunk."""
             from ..faults.fault import FaultList
 
-            chunk_faults = []
-            kept = []
-            for offset, entry in enumerate(job.entries):
-                if isinstance(entry, int):
-                    if skip_dropped and entry in context.dropped_ids:
-                        continue
-                    entry = faults[job.start + offset]
-                chunk_faults.append(entry)
-                kept.append(offset)
+            chunk_faults = faults[job.start:job.start + len(job.entries)]
             try:
                 result = simulator.run(
                     patterns, FaultList(simulator.netlist, chunk_faults))
@@ -527,19 +451,16 @@ class WorkerPool:
                     "fault chunk at offset {} failed on {} worker(s) and "
                     "inline: {!r}".format(job.start, job.retries, exc)
                 ) from exc
-            for slot, offset in enumerate(kept):
+            for offset in range(len(job.entries)):
                 position = job.start + offset
-                words[position] = result.detection_words[slot]
-                firsts[position] = result.first_detection[slot]
+                words[position] = result.detection_words[offset]
+                firsts[position] = result.first_detection[offset]
                 filled[position] = True
             self._bump("chunks_inline")
-            return len(job.entries) - len(kept)
 
         def absorb(job, chunk_words, chunk_firsts, chunk_busy,
-                   chunk_stats, chunk_skipped):
-            nonlocal skipped
+                   chunk_stats):
             busy.append(chunk_busy)
-            skipped += chunk_skipped
             for key, value in chunk_stats.items():
                 stats[key] = stats.get(key, 0) + value
             for offset in range(len(job.entries)):
@@ -580,7 +501,7 @@ class WorkerPool:
                 # stays bit-identical; only the execution venue changes).
                 for job in list(jobs.values()):
                     if job.job_id not in done:
-                        skipped += run_inline(job)
+                        run_inline(job)
                         done.add(job.job_id)
                 break
             if not inflight_total and unassigned:
@@ -588,9 +509,8 @@ class WorkerPool:
                     if unassigned:
                         dispatch(worker, unassigned.pop())
                 continue
-            try:
-                message = self._results.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
+            message = self._receive(live)
+            if message is None:
                 self._reap(unassigned)
                 continue
             tag = message[0]
@@ -622,7 +542,7 @@ class WorkerPool:
                     if target is None or not dispatch(target, job):
                         unassigned.append(job)
                 else:
-                    skipped += run_inline(job)
+                    run_inline(job)
                     done.add(job_id)
                 continue
             if tag != "result":
@@ -639,7 +559,24 @@ class WorkerPool:
                 continue            # stale result from an earlier run
             absorb(job, *payload)
             done.add(job_id)
-        return words, firsts, busy, stats, skipped
+        return words, firsts, busy, stats
+
+    def _receive(self, workers):
+        """The next message from any of *workers*, or None when none
+        arrives within :data:`_POLL_SECONDS` or a worker died mid-send."""
+        pipes = {worker.results: worker for worker in workers}
+        ready = multiprocessing.connection.wait(list(pipes),
+                                                timeout=_POLL_SECONDS)
+        for pipe in ready:
+            try:
+                return pipe.recv()
+            except (EOFError, OSError):
+                # A broken pipe means a dead worker; make sure its
+                # process is gone so that _reap requeues its chunks.
+                worker = pipes[pipe]
+                worker.process.kill()
+                worker.process.join(timeout=5)
+        return None
 
     # -- failure handling ------------------------------------------------
 
@@ -653,7 +590,7 @@ class WorkerPool:
         if worker in self._workers:
             self._workers.remove(worker)
             self._bump("worker_deaths")
-        _release_tasks(worker)
+        _release_pipes(worker)
 
     def _reap(self, unassigned):
         """Requeue the in-flight chunks of workers that died mid-run."""

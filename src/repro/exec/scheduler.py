@@ -10,15 +10,12 @@ merging the per-chunk results back in fault-list order — so the merged
 the sequential run (same ``detection_words``, same ``first_detection``,
 same fault order).
 
-Fault dropping composes with sharding twice over: the pipeline shards
+Fault dropping composes with sharding because the pipeline shards
 *after* the drop filter (the scheduler receives the already-filtered
-remaining list) and merges *before* the next drop, and the campaign layer
-additionally **broadcasts** every drop to the pool
-(:meth:`ShardedFaultScheduler.broadcast_drops`) so workers can skip
-already-dropped faults that still reach them through a stale or
-unfiltered list (``skip_dropped`` runs) — detection credit stays with the
-PTP that first detected the fault, exactly as
-:class:`~repro.faults.dropping.FaultListReport` attributes it.
+remaining list) and merges *before* the next drop, so detection credit
+stays with the PTP that first detected the fault, exactly as
+:class:`~repro.faults.dropping.FaultListReport` attributes it.  The pool
+holds no drop state, so one scheduler can serve several campaigns.
 
 Workers are created once per scheduler (in practice: once per campaign —
 pipelines share one scheduler) and primed with the netlist, propagation
@@ -168,30 +165,15 @@ class ShardedFaultScheduler:
     def __exit__(self, *exc_info):
         self.close()
 
-    # -- drop broadcast --------------------------------------------------
-
-    def broadcast_drops(self, simulator, records):
-        """Publish ``(fault, first_cc)`` drop records to the pool (see
-        :meth:`WorkerPool.broadcast_drops`).  Safe to call whether or not
-        a pool is running; with ``pool=False`` it is a no-op."""
-        if not self.pool_enabled or self.jobs == 1:
-            return 0
-        return self._ensure_pool().broadcast_drops(simulator, records)
-
     # -- runs ------------------------------------------------------------
 
-    def run(self, simulator, patterns, fault_list=None, skip_dropped=False,
-            restored=None):
+    def run(self, simulator, patterns, fault_list=None, restored=None):
         """Pooled equivalent of ``simulator.run(patterns, fault_list)``.
 
         Returns a :class:`FaultSimResult` bit-identical to the sequential
-        call's.  With *skip_dropped*, faults already announced through
-        :meth:`broadcast_drops` are not simulated and report
-        ``word=0 / first=None`` (sequential fault-dropping semantics:
-        their detection belongs to the PTP that first detected them).
-        *restored* is a pass-through metrics annotation: the number of
-        faults the incremental layer restored from cache alongside this
-        (already-compacted) worklist.
+        call's.  *restored* is a pass-through metrics annotation: the
+        number of faults the incremental layer restored from cache
+        alongside this (already-compacted) worklist.
         """
         if fault_list is None:
             fault_list = FaultList(simulator.netlist)
@@ -202,11 +184,10 @@ class ShardedFaultScheduler:
                                     started, restored=restored)
         try:
             pool = self._ensure_pool()
-            words, firsts, busy, stats, skipped = pool.simulate(
+            words, firsts, busy, stats = pool.simulate(
                 simulator, patterns, fault_list,
                 chunk_size=self.chunk_size,
-                chunks_per_worker=self.chunks_per_worker,
-                skip_dropped=skip_dropped)
+                chunks_per_worker=self.chunks_per_worker)
         except (OSError, PermissionError) as exc:
             # Restricted environments (no fork/semaphores): degrade to the
             # sequential path rather than failing the compaction.
@@ -215,8 +196,6 @@ class ShardedFaultScheduler:
                 self.metrics.bump("scheduler_inline_fallback")
             return self._run_inline(simulator, patterns, fault_list,
                                     started, restored=restored)
-        if skipped and self.metrics is not None:
-            self.metrics.record_pool_event("drops_skipped", skipped)
         result = FaultSimResult(fault_list, patterns.count, words, firsts)
         self._record(result, time.perf_counter() - started, jobs=self.jobs,
                      shard_busy=busy, engine=simulator.engine, stats=stats,
@@ -243,8 +222,7 @@ class ShardedFaultScheduler:
             seconds=seconds, jobs=jobs, shard_busy_seconds=shard_busy,
             engine=engine, chunks=chunks,
             gates_evaluated=stats.get("gates_evaluated"),
-            gates_skipped=stats.get("gates_skipped"),
-            batches=stats.get("batches"), restored=restored)
+            gates_skipped=stats.get("gates_skipped"), restored=restored)
 
 
 def run_sharded(simulator, patterns, fault_list=None, jobs=None,

@@ -110,20 +110,12 @@ class FaultListReport:
         """Drop the detected faults of a fault-simulation *result*.
 
         Returns:
-            ``(count, records)``: the newly dropped count plus the
-            ``(fault, first_cc)`` drop records of those faults — the
-            broadcast payload for pooled schedulers
-            (:meth:`repro.exec.scheduler.ShardedFaultScheduler.broadcast_drops`),
-            carrying the same first-detection attribution this report
-            keeps (*label* detected them first).
+            Number of newly dropped faults (attributed to *label*).
         """
         alive = {f for f in self.remaining}
-        records = [(fault, first)
-                   for fault, first in zip(result.fault_list,
-                                           result.first_detection)
-                   if first is not None and fault in alive]
-        count = self.drop((fault for fault, _ in records), label)
-        return count, records
+        return self.drop((fault for fault, first
+                          in zip(result.fault_list, result.first_detection)
+                          if first is not None and fault in alive), label)
 
     def coverage(self):
         """Cumulative fault coverage (%) over the module fault list.

@@ -11,24 +11,22 @@ All patterns are simulated at once per fault: net values are packed integers
 (bit ``k`` = value under pattern ``k``), so a fault's full detection word
 costs one traversal of its fanout cone.
 
-Three propagation engines compute that traversal (``engine=`` argument):
+Two propagation engines compute that traversal (``engine=`` argument):
 
-* ``"event"`` (default) — the event-driven frontier of
-  :mod:`repro.faults.propagate`: faults advance level by level through a
-  precomputed schedule and stop the moment the fault effect dies out;
-  faults are grouped by cone head so per-head setup is shared.
-* ``"cone"`` — the classic static cone walk: every gate in the fault's
-  transitive fanout is visited, whether or not the effect is still alive.
-* ``"batch"`` — the vectorized backend of :mod:`repro.faults.batch`:
-  faults are clustered into fixed-width batches, the union of each
-  batch's fanout cones is compiled once into fused numpy word-ops, and
-  one array pass simulates every fault of the batch over all patterns
-  simultaneously (requires numpy; construction fails cleanly without it).
+* ``"event"`` (default, the production engine) — the event-driven
+  frontier of :mod:`repro.faults.propagate`: faults advance level by
+  level through a precomputed schedule and stop the moment the fault
+  effect dies out; faults are grouped by cone head so per-head setup is
+  shared.
+* ``"cone"`` — the reference oracle: the classic static cone walk visits
+  every gate in the fault's transitive fanout, whether or not the effect
+  is still alive.  The differential tests and the strict static-prune
+  cross-check compare against it.
 
-All engines are bit-identical (same detection words, first detections,
-and signature verdicts); they only trim or reorganize execution
+Both engines are bit-identical (same detection words, first detections,
+and signature verdicts); the event engine only trims execution
 redundancy.  The ``stats`` counters (gates evaluated/visited/skipped,
-inactive/pruned faults, batches) make that redundancy observable.
+inactive/pruned faults) make that redundancy observable.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .fault import OUTPUT_PIN, FaultList
 from .propagate import EventDrivenEngine
 
 #: Valid values of ``FaultSimulator(engine=...)``.
-ENGINES = ("event", "cone", "batch")
+ENGINES = ("event", "cone")
 
 
 @dataclass
@@ -122,21 +120,19 @@ class FaultSimulator:
         observed_outputs: optional subset of output nets used as the
             observation point; defaults to all primary outputs
             (module-level observability).
-        engine: ``"event"`` (default), ``"cone"``, or ``"batch"`` — see
+        engine: ``"event"`` (default) or the ``"cone"`` reference — see
             the module docstring.  Results are bit-identical either way.
 
     Attributes:
         stats: cumulative propagation counters across every run of this
             simulator — ``gates_evaluated`` (gate evaluations during
-            propagation; for the batch engine, gate-row evaluations of
-            the shared batch programs), ``gates_visited`` (gates touched
-            at all: equals evaluations for the event engine, the full
-            static cone for the cone engine), ``gates_skipped``
+            propagation), ``gates_visited`` (gates touched at all:
+            equals evaluations for the event engine, the full static
+            cone for the cone engine), ``gates_skipped``
             (static-cone gates the engine never touched),
             ``faults_inactive`` (activation check failed),
-            ``faults_pruned`` (event/batch engines: cone head cannot
-            reach any observation point), ``batches`` (batch engine:
-            compiled fault batches evaluated).
+            ``faults_pruned`` (event engine: cone head cannot reach any
+            observation point).
     """
 
     def __init__(self, netlist, observed_outputs=None, engine="event"):
@@ -161,26 +157,13 @@ class FaultSimulator:
         self._gate_inputs = [g.inputs for g in netlist.gates]
         self._gate_output = [g.output for g in netlist.gates]
         self._event = EventDrivenEngine(netlist) if engine == "event" else None
-        if engine == "batch":
-            from .batch import BatchFaultEngine
-            self._batch = BatchFaultEngine(netlist)
-        else:
-            self._batch = None
         self._observed_targets = frozenset(self.observed)
         self._good_cache = (None, None, None)
         self._targets_cache = (None, None, None)
         self._good_values_cache = (None, None, None)
-        self._batch_state_cache = (None, None, None)
         self.stats = {"gates_evaluated": 0, "gates_visited": 0,
                       "gates_skipped": 0, "faults_inactive": 0,
-                      "faults_pruned": 0, "batches": 0}
-
-    @property
-    def batch_rows(self):
-        """Fault rows per compiled batch (None unless the batch engine is
-        active) — the scheduler's chunk-size quantum, so pooled chunks
-        arrive as whole batches."""
-        return self._batch.rows if self._batch is not None else None
+                      "faults_pruned": 0}
 
     def _cone(self, net):
         cone = self._cone_cache.get(net)
@@ -227,19 +210,6 @@ class FaultSimulator:
             self._good_values_cache = (patterns, version, cached_good)
         return cached_good
 
-    def _batch_state(self, patterns):
-        """Packed numpy pattern state for the batch engine, memoized like
-        :meth:`good_values` on (identity, version)."""
-        from .batch import pattern_state
-        version = getattr(patterns, "version", 0)
-        cached_patterns, cached_version, cached_state = \
-            self._batch_state_cache
-        if cached_patterns is not patterns or cached_version != version:
-            cached_state = pattern_state(patterns, self.good_values(patterns),
-                                         self.netlist.num_nets)
-            self._batch_state_cache = (patterns, version, cached_state)
-        return cached_state
-
     def run(self, patterns, fault_list=None):
         """Simulate *fault_list* (default: full collapsed list) over
         *patterns* and return a :class:`FaultSimResult`."""
@@ -256,10 +226,6 @@ class FaultSimulator:
         if self.engine == "event":
             detection_words = self._run_event(fault_list, good, mask,
                                               observed_set)
-        elif self.engine == "batch":
-            detection_words, __ = self._batch.run(
-                fault_list, self._batch_state(patterns),
-                self._observed_targets, observed_set, self.stats)
         else:
             detection_words = [
                 self._simulate_fault(fault, good, mask, observed_set)
@@ -384,12 +350,6 @@ class FaultSimulator:
                                                  observed_set, fold_word,
                                                  targets)
                        for fault in fault_list]
-        elif self.engine == "batch":
-            targets = self._observed_targets | frozenset(fold_word)
-            words, fold_diffs = self._batch.run(
-                fault_list, self._batch_state(patterns), targets,
-                observed_set, self.stats, fold_word=fold_word)
-            effects = list(zip(words, fold_diffs))
         else:
             effects = [self._fault_effects_cone(fault, good, mask,
                                                 observed_set, fold_word)

@@ -45,8 +45,8 @@ class PatternSet:
     Attributes:
         version: mutation counter, bumped by every :meth:`add` (and hence
             :meth:`add_words`).  Consumers that memoize derived state on a
-            pattern set's identity (good-machine values, packed numpy
-            limbs, pooled-worker priming) key on ``(id, version)`` so a
+            pattern set's identity (good-machine values, pooled-worker
+            priming) key on ``(id, version)`` so a
             set mutated after being cached is re-derived instead of
             silently served stale.
     """

@@ -15,7 +15,7 @@ untestability proofs — behind the interface the compaction flow consumes:
   class map for reports and ``repro analyze``.
 
 :func:`cross_check_pruned` is the ``strict`` mode's differential oracle:
-it re-simulates every pruned fault with the vectorized batch engine and
+it re-simulates every pruned fault with the ``cone`` reference engine and
 raises if any proof is ever contradicted by an actual detection.
 
 :func:`analyze_module` produces the ``repro analyze`` report document.
@@ -155,10 +155,9 @@ def cross_check_pruned(netlist, patterns, pruned, observed=None):
     """Differential oracle of ``--static-prune strict``: simulate every
     statically pruned fault and raise if any is detected.
 
-    The vectorized batch engine is used when numpy is available (one
-    array pass over the whole pruned set), the cone walk otherwise — the
-    engines are bit-identical, so the oracle's verdict does not depend
-    on the fallback.
+    The simulation uses the ``cone`` reference engine: the static cone
+    walk shares no propagation code with the event engine the campaign
+    runs, so the check does not trust the production path.
 
     Args:
         netlist: the module netlist.
@@ -179,21 +178,16 @@ def cross_check_pruned(netlist, patterns, pruned, observed=None):
     pruned = list(pruned)
     if not pruned or patterns.count == 0:
         return len(pruned)
-    try:
-        import numpy  # noqa: F401
-        engine = "batch"
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        engine = "cone"
     simulator = FaultSimulator(netlist, observed_outputs=observed,
-                               engine=engine)
+                               engine="cone")
     result = simulator.run(patterns, FaultList(netlist, pruned))
     detected = result.detected_faults
     if detected:
         witnesses = "; ".join(f.describe(netlist) for f in detected[:5])
         raise TestabilityError(
             "static prune soundness violation: {} statically pruned "
-            "fault(s) were detected by the {} engine (e.g. {})".format(
-                len(detected), engine, witnesses))
+            "fault(s) were detected by the cone engine (e.g. {})".format(
+                len(detected), witnesses))
     return len(pruned)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.experiments import SMOKE
 from repro.core import (
     CampaignCheckpoint,
     CompactionCampaign,
@@ -11,7 +12,15 @@ from repro.core import (
 )
 from repro.core.campaign import COMPACTED, FAILED, ROLLED_BACK, SKIPPED, Watchdog
 from repro.errors import CampaignError, CompactionError, CycleBudgetError, PtpTimeoutError
-from repro.stl import SelfTestLibrary, generate_cntrl, generate_imm, generate_mem, generate_rand
+from repro.exec import ShardedFaultScheduler
+from repro.stl import (
+    SelfTestLibrary,
+    generate_cntrl,
+    generate_imm,
+    generate_mem,
+    generate_rand,
+    generate_sfu_imm,
+)
 
 
 def _du_stl(num_sbs=5):
@@ -208,3 +217,38 @@ def test_skipped_records_report_prior_status(du_module, gpu, tmp_path):
     assert all(r.prior_status == COMPACTED for r in report.records)
     text = write_campaign_summary(report)
     assert "skipped" in text and "interrupted run" in text
+
+
+def _record_numbers(reports):
+    """Every PTP record's status and numbers, minus wall-clock time."""
+    return [(record.name, record.status,
+             {key: value for key, value in record.numbers.items()
+              if key != "compaction_seconds"})
+            for report in reports for record in report.records]
+
+
+def test_caller_owned_scheduler_serves_two_campaigns(sfu_module, gpu):
+    """One pooled scheduler reused across two campaigns gives each the
+    records of a campaign with a fresh scheduler: the pool keeps no state
+    from the first campaign's fault dropping that could skip faults in
+    the second."""
+    ptp, __ = generate_sfu_imm(
+        sfu_module, seed=1,
+        atpg_random_patterns=SMOKE.sfu_random_patterns,
+        atpg_max_backtracks=SMOKE.sfu_max_backtracks,
+        atpg_podem_fault_limit=SMOKE.sfu_podem_fault_limit)
+    modules = {"sfu": sfu_module}
+
+    def campaign(scheduler=None):
+        return _record_numbers(run_stl_campaign(
+            SelfTestLibrary([ptp]), modules, gpu=gpu, jobs=2,
+            scheduler=scheduler))
+
+    fresh = [campaign(), campaign()]
+    with ShardedFaultScheduler(jobs=2, min_faults_per_shard=1) as shared:
+        reused = [campaign(shared), campaign(shared)]
+        assert shared._pool is not None, "the campaigns never used the pool"
+    assert reused == fresh
+    (__, status, numbers), = fresh[1]
+    assert status == COMPACTED
+    assert numbers["compacted_size"] < numbers["original_size"]

@@ -6,7 +6,8 @@ global-image word rewritten, a whole PTP swapped for a different build —
 must end bit-identical to a from-scratch campaign over the same edited
 STL.  "Bit-identical" means the detected-fault attribution, the module
 fault coverage, and :meth:`FaultListReport.fingerprint` all match, for
-every propagation engine, sequential and pooled.  Warm runs use
+the production event engine and the cone reference (swapped into the
+pipeline's stage-3 simulator), sequential and pooled.  Warm runs use
 ``strict`` mode, so the built-in from-scratch comparison doubles as an
 oracle inside every example.
 """
@@ -22,6 +23,7 @@ from repro.core import CampaignCheckpoint, CompactionCampaign, CompactionPipelin
 from repro.core.campaign import COMPACTED, SKIPPED
 from repro.core.pipeline import CompactionPipeline as _Pipeline
 from repro.exec import ArtifactCache, RunMetrics
+from repro.faults import FaultSimulator
 from repro.isa.instruction import Program
 from repro.stl import (
     SelfTestLibrary,
@@ -39,6 +41,13 @@ def _du_stl(imm_seed=4, mem_seed=4, cntrl_seed=4):
         generate_mem(seed=mem_seed, num_sbs=NUM_SBS),
         generate_cntrl(seed=cntrl_seed, num_sbs=NUM_SBS),
     ])
+
+
+def _pipeline(module, engine, **kwargs):
+    """A pipeline whose stage-3 simulations run on *engine*."""
+    pipeline = CompactionPipeline(module, **kwargs)
+    pipeline.simulator = FaultSimulator(module.netlist, engine=engine)
+    return pipeline
 
 
 def _fault_state(pipeline):
@@ -115,9 +124,8 @@ def _edit_stl(rng, stl):
 def _run_campaign(module, stl, cache, incremental, engine, jobs=None,
                   pool=True, evaluate=False):
     metrics = RunMetrics()
-    pipeline = CompactionPipeline(module, cache=cache, metrics=metrics,
-                                  engine=engine, jobs=jobs, pool=pool,
-                                  incremental=incremental)
+    pipeline = _pipeline(module, engine, cache=cache, metrics=metrics,
+                         jobs=jobs, pool=pool, incremental=incremental)
     campaign = CompactionCampaign(pipeline)
     try:
         report = campaign.run(stl, evaluate=evaluate)
@@ -132,7 +140,7 @@ def _run_campaign(module, stl, cache, incremental, engine, jobs=None,
 def test_stl_edit_oracle_across_engines(du_module, tmp_path_factory, seed):
     cache_dir = str(tmp_path_factory.mktemp("stl-edit"))
 
-    for engine in ("cone", "event", "batch"):
+    for engine in ("cone", "event"):
         cache = ArtifactCache(os.path.join(cache_dir, engine))
         # Cold campaign over the unedited STL populates the records.
         __r, __s, __f, cold = _run_campaign(du_module, _du_stl(), cache,
@@ -200,7 +208,7 @@ def test_stl_edit_oracle_pooled_with_fc_evaluation(du_module, tmp_path):
 # -- satellite: kill mid-run, resume incrementally -----------------------
 
 
-@pytest.mark.parametrize("engine", ["cone", "event", "batch"])
+@pytest.mark.parametrize("engine", ["cone", "event"])
 def test_kill_and_incremental_resume_is_bit_identical(du_module, gpu,
                                                       tmp_path,
                                                       monkeypatch, engine):
@@ -208,7 +216,7 @@ def test_kill_and_incremental_resume_is_bit_identical(du_module, gpu,
     same cache and checkpoint: the merged result must be bit-identical to
     an uninterrupted from-scratch campaign, per engine."""
     reference = CompactionCampaign(
-        CompactionPipeline(du_module, gpu=gpu, engine=engine))
+        _pipeline(du_module, engine, gpu=gpu))
     reference_report = reference.run(_du_stl(), evaluate=False)
     reference_state = _fault_state(reference.pipeline)
     reference_print = reference.pipeline.fault_report.fingerprint()
@@ -217,8 +225,8 @@ def test_kill_and_incremental_resume_is_bit_identical(du_module, gpu,
     cache = ArtifactCache(str(tmp_path / "cache"))
     path = str(tmp_path / "campaign.json")
     killed = CompactionCampaign(
-        CompactionPipeline(du_module, gpu=gpu, engine=engine, cache=cache,
-                           incremental="on"),
+        _pipeline(du_module, engine, gpu=gpu, cache=cache,
+                  incremental="on"),
         checkpoint=CampaignCheckpoint(path))
     compacted = {"n": 0}
     real_compact = _Pipeline.compact
@@ -236,8 +244,8 @@ def test_kill_and_incremental_resume_is_bit_identical(du_module, gpu,
     killed.pipeline.close()
 
     resumed = CompactionCampaign(
-        CompactionPipeline(du_module, gpu=gpu, engine=engine, cache=cache,
-                           incremental="on"),
+        _pipeline(du_module, engine, gpu=gpu, cache=cache,
+                  incremental="on"),
         checkpoint=CampaignCheckpoint.load(path))
     resumed_report = resumed.run(_du_stl(), evaluate=False, resume=True)
     assert _fault_state(resumed.pipeline) == reference_state

@@ -4,9 +4,9 @@ The reproduction's correctness rests on fault-coverage numbers being
 independent of *how* the simulation executes, so the load-bearing test is
 a hypothesis oracle over random netlists and pattern sets: detection
 words, first-detection ccs, and SpT signature verdicts must be
-bit-identical across {inline, pool} x {cone, event, batch} x jobs in
+bit-identical across {inline, pool} x {cone, event} x jobs in
 {1, 2, 4, 7} x chunk sizes — including the cross-PTP fault-dropping
-carry-over with the drop broadcast active.
+carry-over through one shared pool.
 
 The schedulers (and their worker pools) are module-scoped: every example
 streams through the same long-lived workers, which is exactly the
@@ -82,7 +82,7 @@ def test_pool_is_bit_identical_across_engines_jobs_and_chunks(pools, seed):
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
     reference = FaultSimulator(nl, engine="cone").run(patterns, fault_list)
 
-    for engine in ("event", "cone", "batch"):
+    for engine in ("event", "cone"):
         simulator = FaultSimulator(nl, engine=engine)
         inline = simulator.run(patterns, fault_list)
         assert inline.detection_words == reference.detection_words
@@ -99,9 +99,9 @@ def test_pool_is_bit_identical_across_engines_jobs_and_chunks(pools, seed):
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=6, deadline=None)
 def test_cross_ptp_dropping_carry_over_matches_sequential(pools, seed):
-    """Three simulated PTPs under fault dropping with the drop broadcast
-    active: per-PTP detection results AND the drop-state fingerprint after
-    every PTP must match the sequential cone-walk reference exactly."""
+    """Three simulated PTPs under fault dropping through one shared pool:
+    per-PTP detection results AND the drop-state fingerprint after every
+    PTP must match the sequential cone-walk reference exactly."""
     rng = random.Random(seed)
     nl = _random_netlist(rng, num_gates=24)
     ptp_patterns = [_random_patterns(rng, nl, rng.randrange(1, 10))
@@ -117,7 +117,7 @@ def test_cross_ptp_dropping_carry_over_matches_sequential(pools, seed):
                         sequential.fingerprint()))
 
     for jobs in (2, 7):
-        for engine in ("event", "cone", "batch"):
+        for engine in ("event", "cone"):
             report = FaultListReport(nl)
             simulator = FaultSimulator(nl, engine=engine)
             scheduler = pools[jobs]
@@ -125,11 +125,8 @@ def test_cross_ptp_dropping_carry_over_matches_sequential(pools, seed):
                                                % len(CHUNK_SIZES)]
             for i, patterns in enumerate(ptp_patterns):
                 result = scheduler.run(simulator, patterns,
-                                       report.remaining,
-                                       skip_dropped=True)
-                __, records = report.drop_result(result,
-                                                 "ptp{}".format(i))
-                scheduler.broadcast_drops(simulator, records)
+                                       report.remaining)
+                report.drop_result(result, "ptp{}".format(i))
                 words, firsts, fingerprint = history[i]
                 assert result.detection_words == words
                 assert result.first_detection == firsts
@@ -160,11 +157,6 @@ def test_signature_verdicts_match_across_engines_with_pooled_module_run(
                                           result_word, sequences)
     assert event_verdicts == cone_verdicts
     assert event_result.detection_words == cone_result.detection_words
-    batch_result, batch_verdicts = FaultSimulator(
-        nl, engine="batch").run_signature(patterns, fault_list,
-                                          result_word, sequences)
-    assert batch_verdicts == cone_verdicts
-    assert batch_result.detection_words == cone_result.detection_words
 
     simulator = FaultSimulator(nl, engine="event")
     pooled = pools[4].run(simulator, patterns, fault_list)

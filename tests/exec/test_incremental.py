@@ -4,7 +4,7 @@ and the pattern-level edit oracle.
 The load-bearing property mirrors the differential suite: a warm
 :class:`IncrementalFaultSim` run over an *edited* pattern set must be
 bit-identical to a from-scratch simulation — detection words and first
-detections — across {cone, event, batch} x {inline, pooled}, for every
+detections — across {cone, event} x {inline, pooled}, for every
 edit the record is designed to absorb (delete a chunk, reorder, append,
 rewrite values).  Corruption tests pin the fallback contract: a torn or
 bit-flipped record on disk costs a full re-simulation, never an
@@ -377,7 +377,7 @@ def test_edit_oracle_across_engines_inline_and_pooled(pools, tmp_path_factory,
     reference = FaultSimulator(nl, engine="cone").run(edited, fault_list)
 
     cache = ArtifactCache(str(tmp_path_factory.mktemp("incr-oracle")))
-    for engine in ("cone", "event", "batch"):
+    for engine in ("cone", "event"):
         simulator = FaultSimulator(nl, engine=engine)
         inc = IncrementalFaultSim(cache, mode="strict")
         key = _sha256_of(["oracle", engine])

@@ -67,8 +67,9 @@ def test_to_dict_and_save_round_trip(tmp_path):
     path = tmp_path / "out" / "metrics.json"
     metrics.save(str(path))
     document = json.loads(path.read_text())
-    assert document["version"] == 3
+    assert document["version"] == 4
     assert document["fault_sim"]["total_faults"] == 10
+    assert "total_batches" not in document["fault_sim"]
     assert document["fault_sim"]["mean_shard_utilization"] == 0.4
     assert document["cache"] == {"hits": 1, "misses": 1, "puts": 0,
                                  "evictions": 0}
@@ -101,5 +102,7 @@ def test_summary_table_mentions_headline_numbers():
     assert "fault_simulation" in table
     assert "3 hit(s), 1 miss(es)" in table
     assert "shard utilization : 45%" in table
+    assert "fault batches" not in table
+    assert "drop(s) broadcast" not in table
     empty = RunMetrics().summary_table()
     assert "no sharded runs" in empty

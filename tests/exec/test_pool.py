@@ -1,4 +1,4 @@
-"""Worker pool: persistence, drop broadcast, death recovery, poison.
+"""Worker pool: persistence, pattern re-priming, death recovery, poison.
 
 The soak-style tests here kill workers (idle and mid-run) and feed the
 pool a poisoned chunk, asserting the merged results stay bit-identical to
@@ -8,6 +8,8 @@ layer's fault isolation must never corrupt a FaultListReport.
 
 import os
 import signal
+import struct
+import time
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.errors import SchedulerError
 from repro.exec import RunMetrics, ShardedFaultScheduler, WorkerPool
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
 from repro.faults.dropping import FaultListReport
+from repro.netlist import GateType, Netlist, PatternSet
 from repro.stl import generate_imm
 
 
@@ -37,11 +40,10 @@ def test_workers_and_priming_persist_across_runs(workload):
     metrics = RunMetrics()
     with WorkerPool(2, metrics=metrics) as pool:
         for __ in range(3):
-            words, firsts, busy, stats, skipped = pool.simulate(
+            words, firsts, busy, stats = pool.simulate(
                 simulator, patterns, fault_list)
             assert words == sequential.detection_words
             assert firsts == sequential.first_detection
-            assert skipped == 0
     # Spawned once, primed once per worker — not once per run.
     assert metrics.pool["workers_spawned"] == 2
     assert metrics.pool["contexts_shipped"] == 2
@@ -50,38 +52,34 @@ def test_workers_and_priming_persist_across_runs(workload):
     assert metrics.pool["worker_init_seconds"] > 0.0
 
 
-def test_broadcast_drops_skip_without_stealing_attribution(workload):
-    simulator, patterns, fault_list = workload
-    sequential = simulator.run(patterns, fault_list)
-    detected = [(fault, first)
-                for fault, first in zip(fault_list,
-                                        sequential.first_detection)
-                if first is not None]
-    assert detected, "workload must detect something"
+@pytest.mark.parametrize("engine", ["cone", "event"])
+def test_pooled_workers_reprime_mutated_pattern_sets(engine):
+    # The worker-side pattern cache keys on (id, count, version): a set
+    # mutated between pooled runs must be re-shipped, not replayed.  sa0
+    # on the AND output is only detected by the (1, 1) pattern, which
+    # arrives in the second add.  Two faults fill the two-job minimum, so
+    # both runs go through the pool.
+    nl = Netlist("memo")
+    a = nl.add_input()
+    b = nl.add_input()
+    g = nl.add_gate(GateType.AND, a, b)
+    nl.mark_output(g)
+    nl.finalize()
+    fault_list = FaultList(nl, [StuckAtFault(g, 0, OUTPUT_PIN, 0),
+                                StuckAtFault(g, 0, OUTPUT_PIN, 1)])
+    simulator = FaultSimulator(nl, engine=engine)
+    patterns = PatternSet(nl)
+    patterns.add({a: 1, b: 0})
     metrics = RunMetrics()
-    with WorkerPool(2, metrics=metrics) as pool:
-        added = pool.broadcast_drops(simulator, detected[:10])
-        assert added == 10
-        # Re-broadcast is first-writer-wins: nothing new.
-        assert pool.broadcast_drops(simulator, detected[:10]) == 0
-        words, firsts, __, __, skipped = pool.simulate(
-            simulator, patterns, fault_list, skip_dropped=True)
-        dropped = {fault for fault, __ in detected[:10]}
-        for i, fault in enumerate(fault_list):
-            if fault in dropped:
-                # A skipped fault reports undetected — its detection
-                # credit stays with the PTP that dropped it.
-                assert words[i] == 0 and firsts[i] is None
-            else:
-                assert words[i] == sequential.detection_words[i]
-                assert firsts[i] == sequential.first_detection[i]
-        assert skipped == 10
-        # Without opting in, broadcast drops change nothing.
-        words, firsts, __, __, skipped = pool.simulate(
-            simulator, patterns, fault_list)
-        assert words == sequential.detection_words
-        assert skipped == 0
-    assert metrics.pool["drops_broadcast"] == 10
+    with ShardedFaultScheduler(jobs=2, min_faults_per_shard=1,
+                               metrics=metrics) as scheduler:
+        assert scheduler.run(simulator, patterns,
+                             fault_list).detection_words == [0b0, 0b1]
+        patterns.add({a: 1, b: 1})
+        assert scheduler.run(simulator, patterns,
+                             fault_list).detection_words == [0b10, 0b01]
+    assert [run["jobs"] for run in metrics.fault_sim_runs] == [2, 2]
+    assert metrics.pool["patterns_shipped"] >= 2
 
 
 # -- worker death -----------------------------------------------------------
@@ -91,14 +89,14 @@ def test_idle_worker_kill_is_respawned_next_run(workload):
     sequential = simulator.run(patterns, fault_list)
     metrics = RunMetrics()
     with WorkerPool(2, metrics=metrics) as pool:
-        words, __, __, __, __ = pool.simulate(simulator, patterns,
-                                              fault_list)
+        words, __, __, __ = pool.simulate(simulator, patterns,
+                                          fault_list)
         assert words == sequential.detection_words
         victim = pool._workers[0].process
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=5)
-        words, firsts, __, __, __ = pool.simulate(simulator, patterns,
-                                                  fault_list)
+        words, firsts, __, __ = pool.simulate(simulator, patterns,
+                                              fault_list)
         assert words == sequential.detection_words
         assert firsts == sequential.first_detection
     assert metrics.pool["worker_deaths"] >= 1
@@ -126,9 +124,41 @@ def test_mid_run_worker_death_requeues_orphans(workload, monkeypatch):
 
     monkeypatch.setattr(pool_mod.WorkerPool, "_prime", killing_prime)
     with WorkerPool(2, metrics=metrics) as pool:
-        words, firsts, __, __, __ = pool.simulate(
+        words, firsts, __, __ = pool.simulate(
             simulator, patterns, fault_list, chunk_size=16)
     assert killed, "the kill hook never fired"
+    assert words == sequential.detection_words
+    assert firsts == sequential.first_detection
+    assert metrics.pool["worker_deaths"] >= 1
+    assert metrics.pool["chunks_requeued"] >= 1
+
+
+def test_worker_dying_mid_send_is_requeued(workload, monkeypatch):
+    """A worker that dies halfway through sending a result leaves a
+    truncated message in its pipe: the parent must count it as a death
+    and requeue its chunks instead of waiting for the rest forever."""
+    import repro.exec.pool as pool_mod
+
+    simulator, patterns, fault_list = workload
+    sequential = simulator.run(patterns, fault_list)
+    real_main = pool_mod._worker_main
+
+    def truncating_main(worker_id, tasks, results):
+        if worker_id != 0:
+            return real_main(worker_id, tasks, results)
+        while tasks.get()[0] != "chunk":
+            pass
+        # A length header promising far more bytes than ever follow;
+        # the pause lets the parent start reading before the death.
+        os.write(results.fileno(), struct.pack("!i", 1 << 20) + b"partial")
+        time.sleep(0.5)
+        os._exit(1)
+
+    monkeypatch.setattr(pool_mod, "_worker_main", truncating_main)
+    metrics = RunMetrics()
+    with WorkerPool(2, metrics=metrics) as pool:
+        words, firsts, __, __ = pool.simulate(simulator, patterns,
+                                              fault_list)
     assert words == sequential.detection_words
     assert firsts == sequential.first_detection
     assert metrics.pool["worker_deaths"] >= 1
@@ -142,15 +172,15 @@ def test_every_worker_dead_finishes_inline(workload):
     sequential = simulator.run(patterns, fault_list)
     metrics = RunMetrics()
     with WorkerPool(1, metrics=metrics) as pool:
-        words, __, __, __, __ = pool.simulate(simulator, patterns,
-                                              fault_list)
+        words, __, __, __ = pool.simulate(simulator, patterns,
+                                          fault_list)
         assert words == sequential.detection_words
         os.kill(pool._workers[0].process.pid, signal.SIGKILL)
         pool._workers[0].process.join(timeout=5)
         # Keep the pool from respawning so the inline path is forced.
         pool.target_workers = 0
-        words, firsts, __, __, __ = pool.simulate(simulator, patterns,
-                                                  fault_list)
+        words, firsts, __, __ = pool.simulate(simulator, patterns,
+                                              fault_list)
     assert words == sequential.detection_words
     assert firsts == sequential.first_detection
     assert metrics.pool["chunks_inline"] >= 1
@@ -192,10 +222,8 @@ def test_poisoned_chunk_failure_does_not_corrupt_fault_report(workload):
     report = FaultListReport(simulator.netlist)
     with ShardedFaultScheduler(jobs=2, min_faults_per_shard=1,
                                metrics=RunMetrics()) as scheduler:
-        first = scheduler.run(simulator, patterns, report.remaining,
-                              skip_dropped=True)
-        __, records = report.drop_result(first, "PTP1")
-        scheduler.broadcast_drops(simulator, records)
+        first = scheduler.run(simulator, patterns, report.remaining)
+        report.drop_result(first, "PTP1")
         fingerprint = report.fingerprint()
 
         poisoned = FaultList(simulator.netlist,
@@ -206,8 +234,7 @@ def test_poisoned_chunk_failure_does_not_corrupt_fault_report(workload):
         # Isolation: the failed simulation left no trace in the report.
         assert report.fingerprint() == fingerprint
 
-        third = scheduler.run(simulator, patterns, report.remaining,
-                              skip_dropped=True)
+        third = scheduler.run(simulator, patterns, report.remaining)
         reference = simulator.run(patterns, report.remaining)
         assert third.detection_words == reference.detection_words
         assert third.first_detection == reference.first_detection
@@ -222,7 +249,6 @@ def test_no_pool_and_single_job_run_inline(workload):
                       ShardedFaultScheduler(jobs=4, pool=False,
                                             metrics=RunMetrics())):
         with scheduler:
-            assert scheduler.broadcast_drops(simulator, []) == 0
             result = scheduler.run(simulator, patterns, fault_list)
             assert result.detection_words == sequential.detection_words
             assert scheduler._pool is None, "no pool may be constructed"

@@ -142,7 +142,8 @@ def test_pool_failure_falls_back_inline(du_workload, monkeypatch):
 def _run_dropping_pipeline(du_module, job_count, engine):
     """IMM then MEM under fault dropping; returns (pipeline, outcomes,
     per-PTP drop-state fingerprint sequence)."""
-    pipeline = CompactionPipeline(du_module, jobs=job_count, engine=engine)
+    pipeline = CompactionPipeline(du_module, jobs=job_count)
+    pipeline.simulator = FaultSimulator(du_module.netlist, engine=engine)
     outcomes = []
     fingerprints = []
     for ptp in (generate_imm(seed=7, num_sbs=4),

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
@@ -51,6 +52,22 @@ def test_undetected_without_excitation():
     result = sim.run(patterns, fl)
     assert result.first_detection == [None]
     assert result.coverage() == 0.0
+
+
+@pytest.mark.parametrize("engine", ["cone", "event"])
+def test_pattern_mutation_between_runs_is_not_served_stale(engine):
+    # Regression: good values were memoized on the PatternSet's identity
+    # alone, so adding patterns after a run kept serving the old good
+    # machine.  sa0 on the AND output is only detected by the (1, 1)
+    # pattern, which arrives in the second add.
+    nl, a, b, out = _and_netlist()
+    fault_list = FaultList(nl, [StuckAtFault(out, 0, OUTPUT_PIN, 0)])
+    simulator = FaultSimulator(nl, engine=engine)
+    patterns = PatternSet(nl)
+    patterns.add({a: 1, b: 0})
+    assert simulator.run(patterns, fault_list).detection_words == [0b0]
+    patterns.add({a: 1, b: 1})
+    assert simulator.run(patterns, fault_list).detection_words == [0b10]
 
 
 def test_empty_pattern_set():

@@ -1,8 +1,8 @@
 """Event-driven propagation: schedule structure + cone-walk equivalence.
 
 The load-bearing test is the hypothesis oracle: over random netlists,
-random pattern sets, and the full uncollapsed fault list, the event and
-batch engines must be bit-identical to the cone-walk engine — same
+random pattern sets, and the full uncollapsed fault list, the event
+engine must be bit-identical to the cone-walk engine — same
 detection words, same first detections, same SpT signature verdicts
 (including truncated MISR widths), under full and subset observability.
 """
@@ -47,33 +47,25 @@ def _pair(nl, observed=None):
             FaultSimulator(nl, observed_outputs=observed, engine="cone"))
 
 
-def _trio(nl, observed=None):
-    return _pair(nl, observed) + (
-        FaultSimulator(nl, observed_outputs=observed, engine="batch"),)
-
-
 # -- the equivalence oracle --------------------------------------------------
 
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_event_and_batch_engines_are_bit_identical_to_cone_walk(seed):
+def test_event_engine_is_bit_identical_to_cone_walk(seed):
     rng = random.Random(seed)
     nl = _random_netlist(rng)
     patterns = _random_patterns(rng, nl, rng.randrange(1, 14))
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
-    event, cone, batch = _trio(nl)
+    event, cone = _pair(nl)
     ev = event.run(patterns, fault_list)
     cw = cone.run(patterns, fault_list)
-    bt = batch.run(patterns, fault_list)
     assert ev.detection_words == cw.detection_words
     assert ev.first_detection == cw.first_detection
-    assert bt.detection_words == cw.detection_words
-    assert bt.first_detection == cw.first_detection
 
 
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=15, deadline=None)
-def test_event_and_batch_engines_match_cone_under_subset_observability(seed):
+def test_event_engine_matches_cone_under_subset_observability(seed):
     rng = random.Random(seed)
     nl = _random_netlist(rng)
     patterns = _random_patterns(rng, nl, 8)
@@ -81,17 +73,15 @@ def test_event_and_batch_engines_match_cone_under_subset_observability(seed):
                           rng.randrange(1, len(set(nl.outputs)) + 1))
     observed = list(dict.fromkeys(observed))
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
-    event, cone, batch = _trio(nl, observed=observed)
+    event, cone = _pair(nl, observed=observed)
     ev = event.run(patterns, fault_list)
     cw = cone.run(patterns, fault_list)
     assert ev.detection_words == cw.detection_words
-    assert batch.run(patterns, fault_list).detection_words == \
-        cw.detection_words
 
 
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=15, deadline=None)
-def test_event_and_batch_signature_verdicts_match_cone(seed):
+def test_event_signature_verdicts_match_cone(seed):
     rng = random.Random(seed)
     nl = _random_netlist(rng)
     count = rng.randrange(2, 12)
@@ -102,22 +92,16 @@ def test_event_and_batch_signature_verdicts_match_cone(seed):
                  for t in range(2)}
     misr_width = rng.choice([None, max(1, len(result_word) - 1)])
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
-    event, cone, batch = _trio(nl)
+    event, cone = _pair(nl)
     ev_result, ev_sig = event.run_signature(patterns, fault_list,
                                             result_word, sequences,
                                             misr_width=misr_width)
     cw_result, cw_sig = cone.run_signature(patterns, fault_list,
                                            result_word, sequences,
                                            misr_width=misr_width)
-    bt_result, bt_sig = batch.run_signature(patterns, fault_list,
-                                            result_word, sequences,
-                                            misr_width=misr_width)
     assert ev_result.detection_words == cw_result.detection_words
     assert ev_result.first_detection == cw_result.first_detection
     assert ev_sig == cw_sig
-    assert bt_result.detection_words == cw_result.detection_words
-    assert bt_result.first_detection == cw_result.first_detection
-    assert bt_sig == cw_sig
 
 
 # -- schedule structure ------------------------------------------------------
@@ -266,8 +250,9 @@ def test_unobservable_cone_head_is_pruned():
 
 def test_unknown_engine_is_rejected():
     nl, __, __ = _dying_chain()
-    with pytest.raises(FaultSimError):
-        FaultSimulator(nl, engine="warp")
+    for engine in ("warp", "batch"):
+        with pytest.raises(FaultSimError):
+            FaultSimulator(nl, engine=engine)
 
 
 def test_fault_grouping_keeps_fault_list_order():

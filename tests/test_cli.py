@@ -61,7 +61,8 @@ def test_analyze_json_covers_all_modules(capsys):
 
 def test_compact_static_prune_strict_smoke(tmp_path, capsys):
     """The CI soundness smoke: strict mode cross-checks every pruned
-    fault against the batch engine and the metrics record the triage."""
+    fault against the cone reference engine and the metrics record the
+    triage."""
     import json
 
     src_dir = str(tmp_path / "src")
@@ -307,6 +308,7 @@ def test_help_documents_exec_flags(capsys):
         assert "--metrics-out" in out
         assert "--chunk-size" in out
         assert "--no-pool" in out
+        assert "--engine" not in out
 
 
 def test_lint_clean_ptp_exits_0(tmp_path, capsys):

@@ -2,9 +2,8 @@
 
 Over random netlists (seeded with tied-constant pins, the trigger for
 UT001/UT003 proofs) and random pattern sets: no fault pruned in ``safe``
-mode may ever be detected — by the cone walk, the event engine, or the
-vectorized batch engine — and SCOAP rank reordering must leave every
-detection set unchanged.
+mode may ever be detected — by the cone walk or the event engine — and
+SCOAP rank reordering must leave every detection set unchanged.
 """
 
 import random
@@ -63,7 +62,7 @@ def test_safe_pruned_faults_are_never_detected_by_any_engine(seed):
     if not pruned:
         return
     target = FaultList(nl, sorted(pruned, key=lambda f: full.id_of(f)))
-    for engine in ("cone", "event", "batch"):
+    for engine in ("cone", "event"):
         simulator = FaultSimulator(nl, engine=engine)
         result = simulator.run(patterns, target)
         assert result.detected_faults == [], \
