@@ -42,6 +42,7 @@ from repro.exec import (
     ShardedFaultScheduler,
 )
 from repro.faults import FaultList, FaultSimulator
+from repro.faults.dropping import FaultListReport
 from repro.isa.instruction import Program
 from repro.netlist.modules import build_decoder_unit
 from repro.stl import generate_imm
@@ -131,8 +132,9 @@ def test_bench_cone_vs_event_fault_sim():
     # worklist for (by soundness) the identical detected set.  Both runs
     # are timed fresh through the same inline path so the ratio is
     # apples-to-apples.
-    pruned_list = FaultList(module.netlist, prune="safe")
-    prune_ratio = len(pruned_list.pruned) / len(fault_list)
+    report = FaultListReport(module.netlist, static_prune="safe")
+    pruned_list = report.remaining
+    prune_ratio = report.untestable_faults / len(fault_list)
     event_sim = FaultSimulator(module.netlist)
     full_seconds, full_result = _time_run(
         lambda: event_sim.run(patterns, fault_list))
@@ -154,7 +156,7 @@ def test_bench_cone_vs_event_fault_sim():
         },
         "static_prune": {
             "total_faults": len(fault_list),
-            "pruned_faults": len(pruned_list.pruned),
+            "pruned_faults": report.untestable_faults,
             "static_prune_ratio": prune_ratio,
             "pruned_list_speedup_event": pruned_speedup,
         },
@@ -184,7 +186,7 @@ def test_bench_cone_vs_event_fault_sim():
               pool_event_speedup))
     print("  static prune: {}/{} fault(s) proven untestable ({:.1%}), "
           "pruned-list event run x{:.2f}".format(
-              len(pruned_list.pruned), len(fault_list), prune_ratio,
+              report.untestable_faults, len(fault_list), prune_ratio,
               pruned_speedup))
 
     # Invariants (asserted unconditionally — they are not timing-based).

@@ -177,10 +177,7 @@ def cmd_compact(args):
     jobs, cache, metrics = _exec_options(args)
     with CompactionPipeline(module, jobs=jobs, cache=cache,
                             metrics=metrics, verify=args.verify,
-                            chunk_size=args.chunk_size,
-                            pool=not args.no_pool,
                             static_prune=args.static_prune,
-                            rank=args.rank,
                             incremental=args.incremental) as pipeline:
         outcome = pipeline.compact(ptp, reverse_patterns=args.reverse,
                                    evaluate=not args.no_evaluate)
@@ -231,10 +228,7 @@ def cmd_campaign(args):
         cache=cache,
         metrics=metrics,
         verify=args.verify,
-        chunk_size=args.chunk_size,
-        pool=not args.no_pool,
         static_prune=args.static_prune,
-        rank=args.rank,
         incremental=args.incremental,
     )
     for report in reports:
@@ -288,14 +282,6 @@ def _add_exec_arguments(parser):
                        help="fault-simulation worker processes (default: "
                             "$REPRO_JOBS or the CPU count; results are "
                             "bit-identical at any job count)")
-    group.add_argument("--chunk-size", type=int, default=None, metavar="F",
-                       help="faults per streamed worker-pool chunk "
-                            "(default: dynamic, about 4 chunks per "
-                            "worker)")
-    group.add_argument("--no-pool", action="store_true",
-                       help="disable the persistent worker pool (every "
-                            "fault simulation runs inline, whatever "
-                            "--jobs says)")
     group.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="artifact cache directory (default: "
                             "$REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -319,11 +305,6 @@ def _add_exec_arguments(parser):
                             "the FC denominator, strict additionally "
                             "re-simulates every pruned fault per PTP "
                             "and aborts if one is detected)")
-    group.add_argument("--rank", choices=("none", "scoap"), default="none",
-                       help="stage-3 fault worklist ordering (default: "
-                            "none; scoap simulates easiest-to-detect "
-                            "faults first so dropping fires earlier — "
-                            "detected sets are unchanged)")
     group.add_argument("--incremental", choices=("off", "on", "strict"),
                        default="off",
                        help="cross-run fault-state restore (default: off; "

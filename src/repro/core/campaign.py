@@ -350,8 +350,7 @@ class CompactionCampaign:
 def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
                      reverse_for=("SFU_IMM",), evaluate=True, jobs=None,
                      cache=None, metrics=None,
-                     verify="warn", scheduler=None, chunk_size=None,
-                     pool=True, static_prune="off", rank=None,
+                     verify="warn", scheduler=None, static_prune="off",
                      incremental="off", **kwargs):
     """Run one campaign per target module of *stl*, sharing a checkpoint.
 
@@ -383,15 +382,10 @@ def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
             land in the checkpoint.
         scheduler: optional caller-owned scheduler (the campaign then
             leaves it open on return); without one a campaign-lifetime
-            scheduler is built from *jobs*/*chunk_size*/*pool* and closed
-            in a ``finally``.
-        chunk_size: faults per streamed pool chunk (None: dynamic).
-        pool: False disables the worker pool (every run inline).
+            scheduler is built from *jobs* and closed in a ``finally``.
         static_prune: static-testability pruning mode for every
             per-module pipeline (``"off"``/``"safe"``/``"strict"``; see
             :class:`CompactionPipeline`).
-        rank: stage-3 worklist ordering for every per-module pipeline
-            (``None``/``"none"``/``"scoap"``).
         incremental: cross-run fault-state restore mode for every
             per-module pipeline (``"off"``/``"on"``/``"strict"``; see
             :class:`CompactionPipeline` and
@@ -415,8 +409,7 @@ def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
             ", ".join(sorted(missing))))
     owns_scheduler = scheduler is None
     if owns_scheduler:
-        scheduler = ShardedFaultScheduler(jobs=jobs, metrics=metrics,
-                                          chunk_size=chunk_size, pool=pool)
+        scheduler = ShardedFaultScheduler(jobs=jobs, metrics=metrics)
     reports = []
     try:
         for target in targets:
@@ -425,7 +418,7 @@ def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
                                    cache=cache, metrics=metrics,
                                    verify=verify,
                                    scheduler=scheduler,
-                                   static_prune=static_prune, rank=rank,
+                                   static_prune=static_prune,
                                    incremental=incremental),
                 checkpoint=checkpoint, **kwargs)
             reports.append(campaign.run(stl, reverse_for=reverse_for,

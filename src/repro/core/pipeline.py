@@ -116,7 +116,6 @@ class CompactionPipeline:
     Args:
         module: the target :class:`HardwareModule`.
         gpu: optional shared GPU model.
-        collapse: build the collapsed module fault list (the default).
         jobs: worker processes for stage-3/5 fault simulation (None:
             ``$REPRO_JOBS`` or sequential; sharded results are
             bit-identical to sequential ones).
@@ -130,12 +129,7 @@ class CompactionPipeline:
             the worker pool (and its primed netlist/pattern state)
             persists across modules and PTPs.  The caller that built the
             scheduler owns its lifetime; without one the pipeline builds
-            its own from *jobs*/*chunk_size*/*pool* and :meth:`close`
-            shuts it down.
-        chunk_size: faults per streamed pool chunk (None: dynamic);
-            ignored when *scheduler* is given.
-        pool: False forces every fault simulation inline (the CLI's
-            ``--no-pool``); ignored when *scheduler* is given.
+            its own from *jobs* and :meth:`close` shuts it down.
         verify: static-verification gate on the reduced PTP, run between
             stage 4 and stage 5 (:func:`repro.verify.verify_compaction`):
             ``"warn"`` (default) records the diagnostics on the outcome,
@@ -152,11 +146,6 @@ class CompactionPipeline:
             the differential oracle and raises
             :class:`~repro.errors.TestabilityError` if one is detected.
             ``"off"`` (default) is the seed behavior, bit for bit.
-        rank: stage-3 worklist ordering
-            (:data:`repro.testability.analysis.RANK_MODES`); ``"scoap"``
-            simulates easiest-to-detect faults first so fault dropping
-            fires earlier.  A pure permutation: every detected set is
-            unchanged.
         incremental: cross-run fault-state restore mode
             (:data:`repro.exec.incremental.INCREMENTAL_MODES`).  ``"on"``
             stores a per-(PTP, module, engine) fault-state record in the
@@ -176,10 +165,9 @@ class CompactionPipeline:
             fault-state key read it at every :meth:`compact`.
     """
 
-    def __init__(self, module, gpu=None, collapse=True, jobs=None,
-                 cache=None, metrics=None, verify="warn",
-                 scheduler=None, chunk_size=None, pool=True,
-                 static_prune="off", rank=None, incremental="off"):
+    def __init__(self, module, gpu=None, jobs=None, cache=None,
+                 metrics=None, verify="warn", scheduler=None,
+                 static_prune="off", incremental="off"):
         if verify not in VERIFY_MODES:
             raise CompactionError(
                 "verify must be one of {}, got {!r}".format(
@@ -187,27 +175,12 @@ class CompactionPipeline:
         self.verify = verify
         self.module = module
         self.gpu = gpu or Gpu()
-        if static_prune in (None, "off") and rank in (None, "none"):
-            self.static_prune, self.rank = "off", "none"
-            self._analysis = None
-        else:
-            from ..testability.analysis import (
-                TestabilityAnalysis,
-                validate_prune_mode,
-                validate_rank_mode,
-            )
-            self.static_prune = validate_prune_mode(static_prune)
-            self.rank = validate_rank_mode(rank)
-            self._analysis = TestabilityAnalysis(module.netlist)
         self.fault_report = FaultListReport(module.netlist,
-                                            collapse=collapse,
-                                            static_prune=self.static_prune)
-        if metrics is not None and (self.static_prune != "off"
-                                    or self.rank != "none"):
-            dominance = self._analysis.dominance(self.fault_report.full_list)
+                                            static_prune=static_prune)
+        self.static_prune = self.fault_report.static_prune
+        if metrics is not None and self.static_prune != "off":
             metrics.record_static_triage(
-                self.static_prune, self.rank,
-                self.fault_report.untestable_faults, dominance.num_classes)
+                self.static_prune, self.fault_report.untestable_faults)
         self.simulator = FaultSimulator(module.netlist)
         self.cache = cache
         self.metrics = metrics
@@ -221,27 +194,11 @@ class CompactionPipeline:
             self.scheduler = scheduler
             self._owns_scheduler = False
         else:
-            self.scheduler = ShardedFaultScheduler(
-                jobs=jobs, metrics=metrics, chunk_size=chunk_size,
-                pool=pool)
+            self.scheduler = ShardedFaultScheduler(jobs=jobs,
+                                                   metrics=metrics)
             self._owns_scheduler = True
         self.outcomes = []
         self._eval_list = None
-
-    def _worklist(self, dropping):
-        """The stage-3 target fault list: the remaining list under
-        dropping (already minus the untestable bucket), the testable list
-        otherwise — pruned faults never reach the scheduler's chunking in
-        any mode.  ``rank="scoap"`` reorders the list (a permutation, so
-        detection sets are invariant)."""
-        if dropping:
-            target = self.fault_report.remaining
-        else:
-            target = self.evaluation_fault_list
-        if self.rank == "scoap":
-            target = FaultList(self.module.netlist,
-                               self._analysis.rank(list(target)))
-        return target
 
     @property
     def evaluation_fault_list(self):
@@ -334,7 +291,11 @@ class CompactionPipeline:
         # filtered target list) and the merged result feeds the drop
         # below, so cross-PTP dropping survives parallel execution.
         hook("fault_simulation", cycles=tracing.cycles)
-        target_list = self._worklist(dropping)
+        # The remaining list under dropping (already minus the
+        # untestable bucket), the testable list otherwise: pruned faults
+        # never reach the scheduler in any mode.
+        target_list = (self.fault_report.remaining if dropping
+                       else self.evaluation_fault_list)
         with self._timed("fault_simulation"):
             if self._incremental is not None:
                 state_key = self.cache.fault_state_key(

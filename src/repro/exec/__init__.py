@@ -30,7 +30,7 @@ from .incremental import (
 )
 from .metrics import RunMetrics
 from .pool import WorkerPool
-from .scheduler import JOBS_ENV, ShardedFaultScheduler, resolve_jobs, run_sharded, shard_bounds
+from .scheduler import JOBS_ENV, ShardedFaultScheduler, resolve_jobs
 
 __all__ = [
     "ArtifactCache",
@@ -46,6 +46,4 @@ __all__ = [
     "JOBS_ENV",
     "ShardedFaultScheduler",
     "resolve_jobs",
-    "run_sharded",
-    "shard_bounds",
 ]

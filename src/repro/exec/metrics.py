@@ -31,7 +31,7 @@ import time
 from contextlib import contextmanager
 
 #: Bumped whenever the metrics JSON layout changes incompatibly.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class RunMetrics:
@@ -49,8 +49,7 @@ class RunMetrics:
         self.cache = {"hits": 0, "misses": 0, "puts": 0, "evictions": 0}
         self.counters = {}
         self.pool = {}
-        self.static = {"prune_mode": "off", "rank_mode": "none",
-                       "faults_pruned_static": 0, "dominance_classes": 0,
+        self.static = {"prune_mode": "off", "faults_pruned_static": 0,
                        "cross_checked": 0}
         self.incremental = {"runs": 0, "records_loaded": 0,
                             "records_missing": 0, "groups_total": 0,
@@ -160,14 +159,11 @@ class RunMetrics:
 
     # -- static-testability gauges ----------------------------------------
 
-    def record_static_triage(self, prune_mode, rank_mode, faults_pruned,
-                             dominance_classes):
+    def record_static_triage(self, prune_mode, faults_pruned):
         """Record one module's static-testability triage (accumulating —
         a campaign sums the pruned counts over its modules)."""
         self.static["prune_mode"] = prune_mode
-        self.static["rank_mode"] = rank_mode
         self.static["faults_pruned_static"] += faults_pruned
-        self.static["dominance_classes"] += dominance_classes
 
     def record_cross_check(self, faults):
         """Count faults re-simulated by the strict-mode differential
@@ -310,12 +306,10 @@ class RunMetrics:
                          self.counters.get("verify.runs", 0),
                          self.counters.get("verify.errors", 0),
                          self.counters.get("verify.warnings", 0)))
-        lines.append("  static triage     : prune={}, rank={}, {} fault(s) "
-                     "pruned, {} dominance class(es), {} cross-checked"
+        lines.append("  static triage     : prune={}, {} fault(s) pruned, "
+                     "{} cross-checked"
                      .format(self.static.get("prune_mode", "off"),
-                             self.static.get("rank_mode", "none"),
                              self.static.get("faults_pruned_static", 0),
-                             self.static.get("dominance_classes", 0),
                              self.static.get("cross_checked", 0)))
         lines.append("  incremental       : {} run(s), {} record(s) loaded, "
                      "{}/{} group(s) restored, {} fault(s) restored, "

@@ -12,7 +12,7 @@ module replaces it with a pool that is created **once per campaign**:
   *pattern set*; after that, chunk jobs carry only canonical fault ids,
   so steady-state IPC per job is tiny.
 * **Chunk streaming with dynamic sizing.**  A run's fault list is cut
-  into several chunks per worker (``chunks_per_worker``) and streamed:
+  into several chunks per worker (:data:`CHUNKS_PER_WORKER`) and streamed:
   each worker holds a small dispatch window and receives the next chunk
   as soon as it returns one, so an unlucky slow chunk no longer idles
   the other workers the way one-shard-per-worker splitting did.
@@ -57,9 +57,17 @@ import traceback
 
 from ..errors import SchedulerError
 
-#: Auto chunk sizing never cuts chunks smaller than this (per-chunk
-#: dispatch overhead would dominate); explicit ``chunk_size`` overrides.
+#: Dynamic chunk sizing targets this many chunks per worker, so a slow
+#: chunk leaves the other workers something to stream.
+CHUNKS_PER_WORKER = 4
+
+#: Dynamic chunk sizing never cuts chunks smaller than this (per-chunk
+#: dispatch overhead would dominate).
 MIN_AUTO_CHUNK = 16
+
+#: Times a failing chunk is requeued onto another worker before the
+#: parent simulates it inline.
+MAX_RETRIES = 1
 
 #: How long the parent waits on the result pipes before polling worker
 #: liveness (seconds).  Only latency of *death detection*, not of results.
@@ -234,17 +242,14 @@ class WorkerPool:
         workers: target number of worker processes (>= 1).
         metrics: optional :class:`~repro.exec.metrics.RunMetrics`; pool
             events land in its ``pool`` counter group.
-        max_retries: times a failing chunk is requeued onto another
-            worker before the parent simulates it inline.
     """
 
-    def __init__(self, workers, metrics=None, max_retries=1):
+    def __init__(self, workers, metrics=None):
         if workers < 1:
             raise SchedulerError("pool needs at least one worker, got {}"
                                  .format(workers))
         self.target_workers = workers
         self.metrics = metrics
-        self.max_retries = max_retries
         self._mp = None             # multiprocessing context, once started
         self._workers = []
         self._contexts = []
@@ -390,8 +395,7 @@ class WorkerPool:
 
     # -- the run ---------------------------------------------------------
 
-    def simulate(self, simulator, patterns, fault_list, chunk_size=None,
-                 chunks_per_worker=4):
+    def simulate(self, simulator, patterns, fault_list):
         """Chunked pooled equivalent of ``simulator.run(patterns,
         fault_list)``.
 
@@ -407,10 +411,8 @@ class WorkerPool:
         entries = [context.index.get(fault, fault) for fault in faults]
 
         total = len(entries)
-        size = chunk_size
-        if size is None:
-            target = max(1, len(workers) * chunks_per_worker)
-            size = max(MIN_AUTO_CHUNK, -(-total // target))
+        target = max(1, len(workers) * CHUNKS_PER_WORKER)
+        size = max(MIN_AUTO_CHUNK, -(-total // target))
         jobs = {}
         for start in range(0, total, size):
             job = _Job(next(self._ids), start, entries[start:start + size])
@@ -531,7 +533,7 @@ class WorkerPool:
                     continue
                 job.retries += 1
                 self._bump("chunk_errors")
-                if job.retries <= self.max_retries:
+                if job.retries <= MAX_RETRIES:
                     # Prefer a different worker for the retry.
                     others = [w for w in self._workers
                               if w.alive and w is not worker]

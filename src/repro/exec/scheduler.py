@@ -75,26 +75,6 @@ def resolve_jobs(jobs=None, default=1):
     return jobs
 
 
-def shard_bounds(count, shards):
-    """Contiguous balanced shard boundaries: [(start, stop), ...].
-
-    Deterministic: the first ``count % shards`` shards get one extra
-    element.  Empty shards are never produced (*shards* is clamped to
-    *count*; zero *count* yields no shards).
-    """
-    if count == 0:
-        return []
-    shards = max(1, min(shards, count))
-    base, extra = divmod(count, shards)
-    bounds = []
-    start = 0
-    for i in range(shards):
-        stop = start + base + (1 if i < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
 def _stats_delta(simulator, before):
     """Propagation-counter delta of *simulator* since snapshot *before*."""
     return {key: value - before.get(key, 0)
@@ -119,27 +99,15 @@ class ShardedFaultScheduler:
             the pool is not worth waking and the run goes inline (the
             result is identical either way).
         metrics: optional :class:`~repro.exec.metrics.RunMetrics`.
-        chunk_size: faults per streamed chunk (None: dynamic — about
-            ``chunks_per_worker`` chunks per worker, never below
-            :data:`~repro.exec.pool.MIN_AUTO_CHUNK`).
-        chunks_per_worker: dynamic-sizing target used when *chunk_size*
-            is None.
-        pool: False disables the worker pool entirely (every run is
-            inline regardless of *jobs*) — the CLI's ``--no-pool``.
-        max_retries: per-chunk requeue budget before the parent simulates
-            a failing chunk inline.
+
+    Pooled runs are cut into chunks by the pool's dynamic sizing (see
+    :meth:`~repro.exec.pool.WorkerPool.simulate`).
     """
 
-    def __init__(self, jobs=None, min_faults_per_shard=32, metrics=None,
-                 chunk_size=None, chunks_per_worker=4, pool=True,
-                 max_retries=1):
+    def __init__(self, jobs=None, min_faults_per_shard=32, metrics=None):
         self.jobs = resolve_jobs(jobs)
         self.min_faults_per_shard = min_faults_per_shard
         self.metrics = metrics
-        self.chunk_size = chunk_size
-        self.chunks_per_worker = chunks_per_worker
-        self.pool_enabled = pool
-        self.max_retries = max_retries
         self._pool = None
 
     # -- pool lifecycle --------------------------------------------------
@@ -148,8 +116,7 @@ class ShardedFaultScheduler:
         """The scheduler's :class:`WorkerPool` (constructed lazily; no
         processes are spawned until the first pooled run)."""
         if self._pool is None:
-            self._pool = WorkerPool(self.jobs, metrics=self.metrics,
-                                    max_retries=self.max_retries)
+            self._pool = WorkerPool(self.jobs, metrics=self.metrics)
         return self._pool
 
     def close(self):
@@ -178,16 +145,14 @@ class ShardedFaultScheduler:
         if fault_list is None:
             fault_list = FaultList(simulator.netlist)
         started = time.perf_counter()
-        if (self.jobs == 1 or not self.pool_enabled or patterns.count == 0
+        if (self.jobs == 1 or patterns.count == 0
                 or len(fault_list) < self.jobs * self.min_faults_per_shard):
             return self._run_inline(simulator, patterns, fault_list,
                                     started, restored=restored)
         try:
             pool = self._ensure_pool()
             words, firsts, busy, stats = pool.simulate(
-                simulator, patterns, fault_list,
-                chunk_size=self.chunk_size,
-                chunks_per_worker=self.chunks_per_worker)
+                simulator, patterns, fault_list)
         except (OSError, PermissionError) as exc:
             # Restricted environments (no fork/semaphores): degrade to the
             # sequential path rather than failing the compaction.
@@ -224,12 +189,3 @@ class ShardedFaultScheduler:
             gates_evaluated=stats.get("gates_evaluated"),
             gates_skipped=stats.get("gates_skipped"), restored=restored)
 
-
-def run_sharded(simulator, patterns, fault_list=None, jobs=None,
-                metrics=None, chunk_size=None):
-    """One-shot helper: pooled fault simulation without keeping a
-    scheduler around (the pool is torn down before returning — campaign
-    code should hold a :class:`ShardedFaultScheduler` instead)."""
-    with ShardedFaultScheduler(jobs=jobs, metrics=metrics,
-                               chunk_size=chunk_size) as scheduler:
-        return scheduler.run(simulator, patterns, fault_list)

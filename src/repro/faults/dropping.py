@@ -21,8 +21,8 @@ class FaultListReport:
     """Persistent per-module fault list with drop-on-detection updates.
 
     Args:
-        netlist: the module netlist.
-        collapse: apply structural equivalence collapsing.
+        netlist: the module netlist (its collapsed fault list is the
+            report's full list).
         static_prune: static-prune mode (``"off"``/``"safe"``/
             ``"strict"``).  When on, the provably-untestable faults move
             to the :attr:`untestable` bucket before any simulation: they
@@ -34,10 +34,9 @@ class FaultListReport:
             (default: primary outputs).
     """
 
-    def __init__(self, netlist, collapse=True, static_prune="off",
-                 observed=None):
+    def __init__(self, netlist, static_prune="off", observed=None):
         self.netlist = netlist
-        self.full_list = FaultList(netlist, collapse=collapse)
+        self.full_list = FaultList(netlist)
         if static_prune in (None, "off"):
             self.static_prune = "off"
             self.untestable = FaultList(netlist, [])

@@ -109,59 +109,24 @@ def enumerate_faults(netlist, collapse=True):
 class FaultList:
     """Ordered collection of faults with stable integer ids.
 
+    Static pruning is not applied here: it lives in
+    :class:`~repro.faults.dropping.FaultListReport` (``static_prune=``).
+
     Args:
         netlist: the finalized netlist the faults belong to.
         faults: explicit fault collection (default: the collapsed
             enumeration of *netlist*).
-        collapse: apply structural equivalence collapsing when
-            enumerating (ignored when *faults* is given).
-        prune: static-prune mode (``"off"``/``"safe"``/``"strict"``).
-            Any mode but ``"off"`` removes the provably-untestable
-            faults (see :mod:`repro.testability.untestable`) into
-            :attr:`pruned`, with their proofs in :attr:`proofs`; the
-            strict-mode differential cross-check lives at the pipeline
-            layer, the list itself prunes identically in both modes.
-        rank: worklist ordering (``None``/``"none"``: enumeration
-            order; ``"scoap"``: static detectability rank,
-            easiest-to-detect first).
-        observed: observation nets for pruning/ranking (default: the
-            netlist's primary outputs).
     """
 
-    def __init__(self, netlist, faults=None, collapse=True, prune="off",
-                 rank=None, observed=None):
+    def __init__(self, netlist, faults=None):
         netlist.finalize()
         self.netlist = netlist
         if faults is None:
-            faults = enumerate_faults(netlist, collapse=collapse)
+            faults = enumerate_faults(netlist)
         self.faults = list(faults)
-        self.pruned = []
-        self.proofs = {}
-        self.prune_mode, self.rank_mode = self._triage(prune, rank, observed)
         self._ids = {fault: i for i, fault in enumerate(self.faults)}
         if len(self._ids) != len(self.faults):
             raise FaultSimError("duplicate faults in fault list")
-
-    def _triage(self, prune, rank, observed):
-        """Apply the static-testability knobs (lazy import keeps the
-        default path free of the testability subsystem)."""
-        if prune in (None, "off") and rank in (None, "none"):
-            return "off", "none"
-        from ..testability.analysis import (
-            TestabilityAnalysis,
-            validate_prune_mode,
-            validate_rank_mode,
-        )
-        prune = validate_prune_mode(prune)
-        rank = validate_rank_mode(rank)
-        analysis = TestabilityAnalysis(self.netlist, observed=observed)
-        if prune != "off":
-            self.proofs = analysis.untestable(self.faults)
-            self.pruned = list(self.proofs)
-            self.faults = [f for f in self.faults if f not in self.proofs]
-        if rank == "scoap":
-            self.faults = analysis.rank(self.faults)
-        return prune, rank
 
     def __len__(self):
         return len(self.faults)

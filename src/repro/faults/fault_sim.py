@@ -159,7 +159,6 @@ class FaultSimulator:
         self._event = EventDrivenEngine(netlist) if engine == "event" else None
         self._observed_targets = frozenset(self.observed)
         self._good_cache = (None, None, None)
-        self._targets_cache = (None, None, None)
         self._good_values_cache = (None, None, None)
         self.stats = {"gates_evaluated": 0, "gates_visited": 0,
                       "gates_skipped": 0, "faults_inactive": 0,
@@ -183,16 +182,6 @@ class FaultSimulator:
                 cached_list[net] = value
             self._good_cache = (good, len(good), cached_list)
         return cached_list
-
-    def _targets_for(self, observed_set):
-        """Frozenset view of *observed_set* (memoized on identity plus
-        length, the closest thing a plain set has to a mutation stamp)."""
-        cached_set, cached_len, cached_frozen = self._targets_cache
-        if cached_set is not observed_set or cached_len != len(observed_set):
-            cached_frozen = frozenset(observed_set)
-            self._targets_cache = (observed_set, len(observed_set),
-                                   cached_frozen)
-        return cached_frozen
 
     def good_values(self, patterns):
         """Good-machine net values for *patterns*, memoized on the pattern
@@ -228,7 +217,8 @@ class FaultSimulator:
                                               observed_set)
         else:
             detection_words = [
-                self._simulate_fault(fault, good, mask, observed_set)
+                self._fault_effects_cone(fault, good, mask, observed_set,
+                                         ())[0]
                 for fault in fault_list]
         first_detection = [(word & -word).bit_length() - 1 if word else None
                            for word in detection_words]
@@ -436,40 +426,6 @@ class FaultSimulator:
                  for i, net in enumerate(fold_word)
                  if faulty[net] != good_list[net]]
         return word, diffs
-
-    def _simulate_fault(self, fault, good, mask, observed_set):
-        """Detection word of one fault under *observed_set* (dispatches on
-        the configured engine)."""
-        if self.engine == "event":
-            engine = self._event
-            schedule = engine.schedule
-            good_list = self._good_as_list(good)
-            stats = self.stats
-            seed = schedule.seed_net(fault)
-            targets = self._targets_for(observed_set)
-            if not schedule.reach_from(targets)[seed]:
-                stats["faults_pruned"] += 1
-                stats["gates_skipped"] += schedule.cone_size(seed)
-                return 0
-            faulty, changed = engine.propagate(fault, good_list, mask)
-            if changed is None:
-                stats["faults_inactive"] += 1
-                return 0
-            evaluated = engine.last_evaluated
-            stats["gates_evaluated"] += evaluated
-            stats["gates_visited"] += evaluated
-            stats["gates_skipped"] += schedule.cone_size(seed) - evaluated
-            word = 0
-            for net in changed:
-                if net in observed_set:
-                    word |= faulty[net] ^ good_list[net]
-            return word
-        changed = self._propagate_fault(fault, good, mask)
-        word = 0
-        for net, value in changed.items():
-            if net in observed_set:
-                word |= value ^ good[net]
-        return word
 
     def _propagate_fault(self, fault, good, mask):
         """Cone-walk propagation: visit every gate of *fault*'s static

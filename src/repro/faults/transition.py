@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import FaultSimError
-from .fault import OUTPUT_PIN, StuckAtFault
+from .fault import OUTPUT_PIN, FaultList, StuckAtFault
 from .fault_sim import FaultSimResult, FaultSimulator
 
 RISE = "rise"
@@ -80,16 +80,19 @@ class TransitionFaultSimulator:
             return FaultSimResult(_TransitionList(self.netlist, faults), 0,
                                   [0] * len(faults), [None] * len(faults))
         mask = patterns.mask
-        good = self._stuck._logic.run(patterns)
-        observed = set(self._stuck.observed)
+        # One stuck-at run over the distinct stem proxies computes every
+        # capture propagation word.
+        proxies = [_stem_proxy(self.netlist, fault.net,
+                               fault.equivalent_stuck_at())
+                   for fault in faults]
+        proxy_list = FaultList(self.netlist, dict.fromkeys(proxies))
+        capture = self._stuck.run(patterns, proxy_list).detection_words
+        good = self._stuck.good_values(patterns)
 
         detection_words = []
         first_detection = []
-        for fault in faults:
-            stuck_value = fault.equivalent_stuck_at()
-            proxy = _stem_proxy(self.netlist, fault.net, stuck_value)
-            propagate_word = self._stuck._simulate_fault(proxy, good, mask,
-                                                         observed)
+        for fault, proxy in zip(faults, proxies):
+            propagate_word = capture[proxy_list.id_of(proxy)]
             # Launch: the net transitions into the slow direction between
             # consecutive patterns (0->1 for rise, 1->0 for fall).
             value = good[fault.net]

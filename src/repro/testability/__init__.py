@@ -4,7 +4,7 @@ Three analyses over the levelized netlist, none of which runs a single
 simulation pattern:
 
 * :mod:`~repro.testability.scoap` — SCOAP CC0/CC1/CO testability scores
-  (estimates, used for ranking);
+  (estimates, reported by ``repro analyze``);
 * :mod:`~repro.testability.dominance` — dominance collapsing over
   fanout-free dominator chains (id-preserving class map, attribution
   only);
@@ -17,13 +17,11 @@ simulation pattern:
 
 from .analysis import (
     PRUNE_MODES,
-    RANK_MODES,
     TestabilityAnalysis,
     TestabilityReport,
     analyze_module,
     cross_check_pruned,
     validate_prune_mode,
-    validate_rank_mode,
 )
 from .dominance import DominanceResult, collapse_dominance
 from .scoap import INF, ScoapScores, compute_scoap, scoap_summary
@@ -33,7 +31,6 @@ __all__ = [
     "INF",
     "PROOF_KINDS",
     "PRUNE_MODES",
-    "RANK_MODES",
     "DominanceResult",
     "ScoapScores",
     "TestabilityAnalysis",
@@ -47,5 +44,4 @@ __all__ = [
     "propagate_constants",
     "scoap_summary",
     "validate_prune_mode",
-    "validate_rank_mode",
 ]

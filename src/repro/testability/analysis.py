@@ -7,10 +7,6 @@ untestability proofs — behind the interface the compaction flow consumes:
 * :meth:`TestabilityAnalysis.untestable` — provably undetectable faults
   (the ``--static-prune safe`` pruning set: removing them cannot change
   any detected-fault set);
-* :meth:`TestabilityAnalysis.rank` — GIF-PO-style static detectability
-  ordering of a fault worklist (easiest-to-detect first, so fault
-  dropping fires as early as possible) — a pure permutation, so every
-  detection set is invariant under it;
 * :meth:`TestabilityAnalysis.dominance` — the id-preserving dominance
   class map for reports and ``repro analyze``.
 
@@ -27,15 +23,11 @@ from dataclasses import dataclass, field
 
 from ..errors import TestabilityError
 from .dominance import collapse_dominance
-from .scoap import INF, _sensitize_cost, compute_scoap, scoap_summary
+from .scoap import INF, compute_scoap, scoap_summary
 from .untestable import PROOF_KINDS, UntestabilityProver
 
 #: Valid values of the flow-level ``static_prune`` knob.
 PRUNE_MODES = ("off", "safe", "strict")
-
-#: Valid values of the flow-level ``rank`` knob (None/"none" = keep the
-#: canonical fault-list order).
-RANK_MODES = ("none", "scoap")
 
 
 def validate_prune_mode(mode):
@@ -46,16 +38,6 @@ def validate_prune_mode(mode):
         raise TestabilityError(
             "static_prune must be one of {}, got {!r}".format(
                 "/".join(PRUNE_MODES), mode))
-    return mode
-
-
-def validate_rank_mode(mode):
-    """Normalize/validate a ``rank`` knob value."""
-    if mode is None:
-        return "none"
-    if mode not in RANK_MODES:
-        raise TestabilityError("rank must be one of {}, got {!r}".format(
-            "/".join(RANK_MODES), mode))
     return mode
 
 
@@ -108,40 +90,6 @@ class TestabilityAnalysis:
     def untestable(self, faults):
         """Ordered ``{fault: proof}`` over *faults* (the safe prune set)."""
         return self.prover.untestable(faults)
-
-    # -- ranking ----------------------------------------------------------
-
-    def fault_score(self, fault):
-        """Static detectability score of one fault: controllability of
-        the activating value plus observability of the site (pin faults
-        fold the reading gate's sensitization cost).  Lower = easier to
-        detect; :data:`~repro.testability.scoap.INF` = no sensitizable
-        path under the SCOAP estimate."""
-        scores = self.scoap
-        activation = (scores.cc1 if fault.stuck_at == 0
-                      else scores.cc0)[fault.net]
-        observability = self._site_observability(fault, scores)
-        return activation + observability
-
-    def _site_observability(self, fault, scores):
-        if fault.is_stem():
-            return scores.co[fault.net]
-        gate = self.netlist.gates[fault.gate]
-        out_co = scores.co[gate.output]
-        if out_co == INF:
-            return INF
-        return out_co + _sensitize_cost(gate.gate_type, gate.inputs,
-                                        fault.pin, scores.cc0,
-                                        scores.cc1) + 1
-
-    def rank(self, faults):
-        """*faults* reordered easiest-detectable-first (stable: equal
-        scores keep their input order, so the permutation — and with it
-        every detection set — is deterministic)."""
-        indexed = list(faults)
-        return sorted(indexed,
-                      key=lambda f, s=self.fault_score: (s(f) == INF,
-                                                         s(f)))
 
     # -- dominance --------------------------------------------------------
 
@@ -316,6 +264,5 @@ def analyze_module(netlist, observed=None, name=None):
 
 
 __all__ = ["TestabilityAnalysis", "TestabilityReport", "analyze_module",
-           "cross_check_pruned", "validate_prune_mode",
-           "validate_rank_mode", "PRUNE_MODES", "RANK_MODES",
+           "cross_check_pruned", "validate_prune_mode", "PRUNE_MODES",
            "PROOF_KINDS"]

@@ -14,9 +14,10 @@ single simulation pattern:
 
 Scores are *estimates*, not proofs — reconvergent fanout makes SCOAP
 optimistic (e.g. ``XOR(a, a)`` gets a finite CC1 although the net is
-constant 0) — so the compaction flow only uses them for *ranking* the
-fault worklist (:mod:`repro.testability.analysis`); untestability proofs
-come from :mod:`repro.testability.untestable` instead.
+constant 0) — so the compaction flow never prunes on them; they are
+reported by ``repro analyze`` (:mod:`repro.testability.analysis`), and
+untestability proofs come from :mod:`repro.testability.untestable`
+instead.
 
 :data:`INF` marks unreachable scores: a net that cannot be driven to a
 value (a constant net's opposite polarity) or that no observed output can

@@ -122,10 +122,10 @@ def _edit_stl(rng, stl):
 
 
 def _run_campaign(module, stl, cache, incremental, engine, jobs=None,
-                  pool=True, evaluate=False):
+                  evaluate=False):
     metrics = RunMetrics()
     pipeline = _pipeline(module, engine, cache=cache, metrics=metrics,
-                         jobs=jobs, pool=pool, incremental=incremental)
+                         jobs=jobs, incremental=incremental)
     campaign = CompactionCampaign(pipeline)
     try:
         report = campaign.run(stl, evaluate=evaluate)

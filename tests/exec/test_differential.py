@@ -5,8 +5,10 @@ independent of *how* the simulation executes, so the load-bearing test is
 a hypothesis oracle over random netlists and pattern sets: detection
 words, first-detection ccs, and SpT signature verdicts must be
 bit-identical across {inline, pool} x {cone, event} x jobs in
-{1, 2, 4, 7} x chunk sizes — including the cross-PTP fault-dropping
-carry-over through one shared pool.
+{1, 2, 4, 7} — including the cross-PTP fault-dropping carry-over through
+one shared pool.  The pool's chunk floor is lowered to one fault, so
+every pooled run streams more chunks than it has workers and the last
+chunk is usually shorter than the rest.
 
 The schedulers (and their worker pools) are module-scoped: every example
 streams through the same long-lived workers, which is exactly the
@@ -19,6 +21,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.exec.pool as pool_mod
 from repro.exec import RunMetrics, ShardedFaultScheduler
 from repro.faults import FaultList, FaultSimulator
 from repro.faults.dropping import FaultListReport
@@ -29,9 +32,6 @@ from repro.netlist.gates import ARITY
 #: Explicit job counts force real pools even on this 1-CPU CI machine
 #: (resolve_jobs only clamps env/default-resolved counts).
 JOB_COUNTS = (1, 2, 4, 7)
-
-#: Chunk sizes cycled per example: degenerate (1), tiny, and dynamic.
-CHUNK_SIZES = (None, 1, 3, 17)
 
 
 def _random_netlist(rng, num_inputs=4, num_gates=18, num_outputs=3):
@@ -58,16 +58,28 @@ def _random_patterns(rng, nl, count):
 
 @pytest.fixture(scope="module")
 def pools():
-    """One persistent scheduler per job count, shared by every example."""
-    metrics = RunMetrics()
+    """One persistent scheduler per job count, shared by every example,
+    with dynamic chunk sizing allowed down to one fault per chunk."""
     schedulers = {
         jobs: ShardedFaultScheduler(jobs=jobs, min_faults_per_shard=1,
-                                    metrics=metrics)
+                                    metrics=RunMetrics())
         for jobs in JOB_COUNTS
     }
-    yield schedulers
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pool_mod, "MIN_AUTO_CHUNK", 1)
+        yield schedulers
     for scheduler in schedulers.values():
         scheduler.close()
+
+
+def _pooled_run(scheduler, simulator, patterns, fault_list):
+    """``scheduler.run`` that also checks a multi-job run really streamed
+    more chunks than the pool has workers."""
+    result = scheduler.run(simulator, patterns, fault_list)
+    if scheduler.jobs > 1 and len(fault_list) > scheduler.jobs:
+        assert scheduler.metrics.fault_sim_runs[-1]["chunks"] > \
+            scheduler.jobs
+    return result
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -88,9 +100,8 @@ def test_pool_is_bit_identical_across_engines_jobs_and_chunks(pools, seed):
         assert inline.detection_words == reference.detection_words
         assert inline.first_detection == reference.first_detection
         for jobs in JOB_COUNTS:
-            scheduler = pools[jobs]
-            scheduler.chunk_size = CHUNK_SIZES[seed % len(CHUNK_SIZES)]
-            pooled = scheduler.run(simulator, patterns, fault_list)
+            pooled = _pooled_run(pools[jobs], simulator, patterns,
+                                 fault_list)
             assert pooled.detection_words == reference.detection_words
             assert pooled.first_detection == reference.first_detection
             assert pooled.pattern_count == reference.pattern_count
@@ -120,12 +131,9 @@ def test_cross_ptp_dropping_carry_over_matches_sequential(pools, seed):
         for engine in ("event", "cone"):
             report = FaultListReport(nl)
             simulator = FaultSimulator(nl, engine=engine)
-            scheduler = pools[jobs]
-            scheduler.chunk_size = CHUNK_SIZES[(seed + jobs)
-                                               % len(CHUNK_SIZES)]
             for i, patterns in enumerate(ptp_patterns):
-                result = scheduler.run(simulator, patterns,
-                                       report.remaining)
+                result = _pooled_run(pools[jobs], simulator, patterns,
+                                     report.remaining)
                 report.drop_result(result, "ptp{}".format(i))
                 words, firsts, fingerprint = history[i]
                 assert result.detection_words == words
@@ -159,6 +167,6 @@ def test_signature_verdicts_match_across_engines_with_pooled_module_run(
     assert event_result.detection_words == cone_result.detection_words
 
     simulator = FaultSimulator(nl, engine="event")
-    pooled = pools[4].run(simulator, patterns, fault_list)
+    pooled = _pooled_run(pools[4], simulator, patterns, fault_list)
     assert pooled.detection_words == cone_result.detection_words
     assert pooled.first_detection == cone_result.first_detection

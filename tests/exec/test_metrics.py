@@ -67,9 +67,12 @@ def test_to_dict_and_save_round_trip(tmp_path):
     path = tmp_path / "out" / "metrics.json"
     metrics.save(str(path))
     document = json.loads(path.read_text())
-    assert document["version"] == 4
+    assert document["version"] == 5
     assert document["fault_sim"]["total_faults"] == 10
     assert "total_batches" not in document["fault_sim"]
+    assert document["static"] == {"prune_mode": "off",
+                                  "faults_pruned_static": 0,
+                                  "cross_checked": 0}
     assert document["fault_sim"]["mean_shard_utilization"] == 0.4
     assert document["cache"] == {"hits": 1, "misses": 1, "puts": 0,
                                  "evictions": 0}

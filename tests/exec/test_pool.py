@@ -124,8 +124,8 @@ def test_mid_run_worker_death_requeues_orphans(workload, monkeypatch):
 
     monkeypatch.setattr(pool_mod.WorkerPool, "_prime", killing_prime)
     with WorkerPool(2, metrics=metrics) as pool:
-        words, firsts, __, __ = pool.simulate(
-            simulator, patterns, fault_list, chunk_size=16)
+        words, firsts, __, __ = pool.simulate(simulator, patterns,
+                                              fault_list)
     assert killed, "the kill hook never fired"
     assert words == sequential.detection_words
     assert firsts == sequential.first_detection
@@ -240,17 +240,33 @@ def test_poisoned_chunk_failure_does_not_corrupt_fault_report(workload):
         assert third.first_detection == reference.first_detection
 
 
-# -- scheduler-level switches ----------------------------------------------
+# -- chunking and the inline path -----------------------------------------
 
-def test_no_pool_and_single_job_run_inline(workload):
+def test_ragged_multi_chunk_run_is_bit_identical(workload, monkeypatch):
+    """Dynamic sizing with the chunk floor lowered: a 101-fault list over
+    two workers streams as several full chunks plus a shorter last one,
+    and the merge is still bit-identical."""
+    import repro.exec.pool as pool_mod
+
+    monkeypatch.setattr(pool_mod, "MIN_AUTO_CHUNK", 1)
+    simulator, patterns, fault_list = workload
+    faults = FaultList(simulator.netlist, list(fault_list)[:101])
+    sequential = simulator.run(patterns, faults)
+    with WorkerPool(2) as pool:
+        words, firsts, busy, __ = pool.simulate(simulator, patterns, faults)
+    assert words == sequential.detection_words
+    assert firsts == sequential.first_detection
+    size = -(-101 // (2 * pool_mod.CHUNKS_PER_WORKER))
+    assert 101 % size, "the last chunk must be ragged"
+    assert len(busy) == -(-101 // size) > 2
+
+
+def test_single_job_runs_inline(workload):
     simulator, patterns, fault_list = workload
     sequential = simulator.run(patterns, fault_list)
-    for scheduler in (ShardedFaultScheduler(jobs=1, metrics=RunMetrics()),
-                      ShardedFaultScheduler(jobs=4, pool=False,
-                                            metrics=RunMetrics())):
-        with scheduler:
-            result = scheduler.run(simulator, patterns, fault_list)
-            assert result.detection_words == sequential.detection_words
-            assert scheduler._pool is None, "no pool may be constructed"
-        (run,) = scheduler.metrics.fault_sim_runs
-        assert run["jobs"] == 1
+    with ShardedFaultScheduler(jobs=1, metrics=RunMetrics()) as scheduler:
+        result = scheduler.run(simulator, patterns, fault_list)
+        assert result.detection_words == sequential.detection_words
+        assert scheduler._pool is None, "no pool may be constructed"
+    (run,) = scheduler.metrics.fault_sim_runs
+    assert run["jobs"] == 1

@@ -5,7 +5,7 @@ import pytest
 from repro.core.pipeline import CompactionPipeline
 from repro.core.tracing import run_logic_tracing
 from repro.errors import SchedulerError
-from repro.exec import RunMetrics, ShardedFaultScheduler, resolve_jobs, run_sharded, shard_bounds
+from repro.exec import RunMetrics, ShardedFaultScheduler, resolve_jobs
 from repro.faults import FaultList, FaultSimulator
 from repro.stl import generate_imm, generate_mem
 
@@ -20,20 +20,7 @@ def du_workload(du_module):
             FaultList(du_module.netlist))
 
 
-# -- shard geometry ---------------------------------------------------------
-
-def test_shard_bounds_cover_exactly_once():
-    for count in (0, 1, 5, 7, 100):
-        for shards in (1, 2, 4, 7, 200):
-            bounds = shard_bounds(count, shards)
-            covered = [i for start, stop in bounds
-                       for i in range(start, stop)]
-            assert covered == list(range(count))
-            assert all(stop > start for start, stop in bounds)
-            # Balanced: sizes differ by at most one.
-            sizes = [stop - start for start, stop in bounds]
-            assert not sizes or max(sizes) - min(sizes) <= 1
-
+# -- job resolution ---------------------------------------------------------
 
 def test_resolve_jobs_env_and_validation(monkeypatch):
     import repro.exec.scheduler as sched_mod
@@ -79,7 +66,8 @@ def test_resolve_jobs_clamps_to_inline_on_one_cpu(monkeypatch):
 def test_sharded_result_bit_identical_to_sequential(du_workload, jobs):
     simulator, patterns, fault_list = du_workload
     sequential = simulator.run(patterns, fault_list)
-    sharded = run_sharded(simulator, patterns, fault_list, jobs=jobs)
+    with ShardedFaultScheduler(jobs=jobs) as scheduler:
+        sharded = scheduler.run(simulator, patterns, fault_list)
     assert sharded.pattern_count == sequential.pattern_count
     assert sharded.detection_words == sequential.detection_words
     assert sharded.first_detection == sequential.first_detection

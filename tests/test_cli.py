@@ -72,14 +72,13 @@ def test_compact_static_prune_strict_smoke(tmp_path, capsys):
           "--out", src_dir])
     capsys.readouterr()
     assert main(["compact", "--ptp-dir", src_dir, "--out", out_dir,
-                 "--static-prune", "strict", "--rank", "scoap",
-                 "--no-evaluate", "--no-pool", "--no-cache",
+                 "--static-prune", "strict",
+                 "--no-evaluate", "--jobs", "1", "--no-cache",
                  "--metrics-out", metrics_path]) == 0
     capsys.readouterr()
     with open(metrics_path) as handle:
         metrics = json.load(handle)
     assert metrics["static"]["prune_mode"] == "strict"
-    assert metrics["static"]["rank_mode"] == "scoap"
     assert metrics["static"]["faults_pruned_static"] > 0
     assert metrics["static"]["cross_checked"] == \
         metrics["static"]["faults_pruned_static"]
@@ -268,19 +267,19 @@ def test_campaign_no_cache_runs_without_cache_dir(tmp_path, capsys):
 
 
 def test_compact_pool_flags(tmp_path, capsys):
-    """--chunk-size streams through a real pool; --no-pool forces the
-    per-run inline path.  Both compact identically."""
+    """--jobs 2 streams through a real pool and --jobs 1 runs inline;
+    both compact identically and only the first spawns workers."""
     src_dir = str(tmp_path / "src")
     main(["generate", "--ptp", "IMM", "--seed", "5", "--sbs", "5",
           "--out", src_dir])
     capsys.readouterr()
     assert main(["compact", "--ptp-dir", src_dir,
                  "--out", str(tmp_path / "pooled"), "--jobs", "2",
-                 "--chunk-size", "64", "--no-cache",
+                 "--no-cache",
                  "--metrics-out", str(tmp_path / "pooled.json")]) == 0
     assert main(["compact", "--ptp-dir", src_dir,
-                 "--out", str(tmp_path / "inline"), "--jobs", "2",
-                 "--no-pool", "--no-cache",
+                 "--out", str(tmp_path / "inline"), "--jobs", "1",
+                 "--no-cache",
                  "--metrics-out", str(tmp_path / "inline.json")]) == 0
     capsys.readouterr()
     import json
@@ -306,9 +305,21 @@ def test_help_documents_exec_flags(capsys):
         assert "--jobs" in out
         assert "--cache-dir" in out
         assert "--metrics-out" in out
-        assert "--chunk-size" in out
-        assert "--no-pool" in out
-        assert "--engine" not in out
+        for removed in ("--chunk-size", "--no-pool", "--rank", "--engine"):
+            assert removed not in out
+
+
+@pytest.mark.parametrize("command", ["compact", "campaign"])
+@pytest.mark.parametrize("flag", [["--rank", "scoap"],
+                                  ["--chunk-size", "64"], ["--no-pool"]],
+                         ids=["rank", "chunk-size", "no-pool"])
+def test_removed_exec_flags_are_rejected(tmp_path, capsys, command, flag):
+    source = "--ptp-dir" if command == "compact" else "--stl-dir"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, source, str(tmp_path), "--out",
+              str(tmp_path / "out")] + flag)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_lint_clean_ptp_exits_0(tmp_path, capsys):

@@ -3,7 +3,7 @@
 Over random netlists (seeded with tied-constant pins, the trigger for
 UT001/UT003 proofs) and random pattern sets: no fault pruned in ``safe``
 mode may ever be detected — by the cone walk or the event engine — and
-SCOAP rank reordering must leave every detection set unchanged.
+the pruned report must detect exactly the faults the full list does.
 """
 
 import random
@@ -13,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TestabilityError
 from repro.faults import FaultList, FaultSimulator
+from repro.faults.dropping import FaultListReport
 from repro.netlist import GateType, Netlist, PatternSet
 from repro.netlist.gates import ARITY
 from repro.netlist.netlist import CONST0, CONST1
-from repro.testability import TestabilityAnalysis, cross_check_pruned
+from repro.testability import cross_check_pruned
 
 
 def _random_netlist(rng, num_inputs=4, num_gates=18, num_outputs=3):
@@ -55,38 +56,24 @@ def test_safe_pruned_faults_are_never_detected_by_any_engine(seed):
     nl = _random_netlist(rng)
     patterns = _random_patterns(rng, nl, rng.randrange(1, 14))
     full = FaultList(nl)
-    pruned_list = FaultList(nl, prune="safe")
-    pruned = set(pruned_list.pruned)
-    assert set(pruned_list) | pruned == set(full)
-    assert set(pruned_list).isdisjoint(pruned)
+    report = FaultListReport(nl, static_prune="safe")
+    pruned = set(report.untestable)
+    assert set(report.remaining) | pruned == set(full)
+    assert set(report.remaining).isdisjoint(pruned)
+    # Soundness: the pruned worklist detects exactly what the full list
+    # detects.
+    event = FaultSimulator(nl, engine="event")
+    assert set(event.run(patterns, report.remaining).detected_faults) == \
+        set(event.run(patterns, full).detected_faults)
     if not pruned:
         return
-    target = FaultList(nl, sorted(pruned, key=lambda f: full.id_of(f)))
     for engine in ("cone", "event"):
         simulator = FaultSimulator(nl, engine=engine)
-        result = simulator.run(patterns, target)
+        result = simulator.run(patterns, report.untestable)
         assert result.detected_faults == [], \
             "engine {} detected statically pruned fault(s)".format(engine)
     # The strict-mode oracle agrees (and counts what it checked).
     assert cross_check_pruned(nl, patterns, pruned) == len(pruned)
-
-
-@given(st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=15, deadline=None)
-def test_scoap_rank_is_a_detection_set_invariant_permutation(seed):
-    rng = random.Random(seed)
-    nl = _random_netlist(rng)
-    patterns = _random_patterns(rng, nl, 8)
-    plain = FaultList(nl)
-    ranked = FaultList(nl, rank="scoap")
-    assert sorted(plain, key=repr) == sorted(ranked, key=repr)
-    simulator = FaultSimulator(nl, engine="event")
-    detected_plain = set(simulator.run(patterns, plain).detected_faults)
-    detected_ranked = set(simulator.run(patterns, ranked).detected_faults)
-    assert detected_plain == detected_ranked
-    # Rank is deterministic.
-    again = FaultList(nl, rank="scoap")
-    assert list(again) == list(ranked)
 
 
 def test_cross_check_raises_on_an_unsound_prune():
@@ -123,12 +110,10 @@ def test_fault_list_knobs_validate_their_modes():
     nl.mark_output(nl.add_gate(GateType.BUF, a))
     nl.finalize()
     with pytest.raises(TestabilityError):
-        FaultList(nl, prune="aggressive")
-    with pytest.raises(TestabilityError):
-        FaultList(nl, rank="alphabetical")
-    default = FaultList(nl)
-    assert default.prune_mode == "off" and default.rank_mode == "none"
-    assert default.pruned == [] and default.proofs == {}
+        FaultListReport(nl, static_prune="aggressive")
+    default = FaultListReport(nl)
+    assert default.static_prune == "off"
+    assert list(default.untestable) == [] and default.proofs == {}
 
 
 def test_pruned_faults_carry_their_proofs():
@@ -137,7 +122,7 @@ def test_pruned_faults_carry_their_proofs():
     g = nl.add_gate(GateType.AND, a, CONST0)
     nl.mark_output(g)
     nl.finalize()
-    fault_list = FaultList(nl, prune="safe")
-    assert fault_list.pruned
-    for fault in fault_list.pruned:
-        assert fault_list.proofs[fault].fault is fault
+    report = FaultListReport(nl, static_prune="safe")
+    assert report.untestable_faults
+    for fault in report.untestable:
+        assert report.proofs[fault].fault is fault

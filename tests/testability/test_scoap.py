@@ -80,7 +80,7 @@ def test_dangling_cone_is_unobservable():
 
 def test_reconvergent_fanout_keeps_scores_an_estimate():
     # XOR(a, a) is constant 0, but SCOAP still assigns a finite CC1 —
-    # the documented reason scores rank but never prove.
+    # the documented reason scores estimate but never prove.
     nl = Netlist("reconv")
     a = nl.add_input()
     g = nl.add_gate(GateType.XOR, a, a)

@@ -88,12 +88,12 @@ def test_checkpoint_state_roundtrip_and_mode_guard():
 def test_metrics_static_gauges_accumulate_and_render():
     metrics = RunMetrics()
     assert metrics.static["prune_mode"] == "off"
-    metrics.record_static_triage("safe", "scoap", 7, 42)
-    metrics.record_static_triage("safe", "scoap", 3, 8)
+    metrics.record_static_triage("safe", 7)
+    metrics.record_static_triage("safe", 3)
     metrics.record_cross_check(7)
-    assert metrics.static == {"prune_mode": "safe", "rank_mode": "scoap",
+    assert metrics.static == {"prune_mode": "safe",
                               "faults_pruned_static": 10,
-                              "dominance_classes": 50, "cross_checked": 7}
+                              "cross_checked": 7}
     assert metrics.to_dict()["static"]["faults_pruned_static"] == 10
     assert "static triage" in metrics.summary_table()
     assert "prune=safe" in metrics.summary_table()
@@ -102,20 +102,19 @@ def test_metrics_static_gauges_accumulate_and_render():
 def test_analysis_facade_validates_and_scores():
     nl = _module_netlist()
     analysis = TestabilityAnalysis(nl)
-    fault_list = FaultList(nl)
-    scores = [analysis.fault_score(f) for f in fault_list]
-    assert all(s >= 2 for s in scores)   # >= 1 activation + observability
-    ranked = analysis.rank(fault_list)
-    finite = [analysis.fault_score(f) for f in ranked
-              if analysis.fault_score(f) != float("inf")]
-    assert finite == sorted(finite)
-    from repro.testability import validate_prune_mode, validate_rank_mode
+    # The facade's proofs are exactly the report's safe-prune bucket.
+    proofs = analysis.untestable(FaultList(nl))
+    assert list(proofs) == list(
+        FaultListReport(nl, static_prune="safe").untestable)
+    scores = analysis.scoap
+    for net in nl.inputs:
+        assert scores.cc0[net] == scores.cc1[net] == 1
+    for net in nl.outputs:
+        assert scores.co[net] == 0
+    from repro.testability import validate_prune_mode
     assert validate_prune_mode(None) == "off"
-    assert validate_rank_mode(None) == "none"
     with pytest.raises(TestabilityError):
         validate_prune_mode("bogus")
-    with pytest.raises(TestabilityError):
-        validate_rank_mode("bogus")
 
 
 def test_analyze_module_report_document():
