@@ -1,10 +1,13 @@
 """Shared benchmark state: one experiment campaign per session.
 
-The campaigns are expensive (they are the paper's Tables I-III), so they
-run once and the per-table benchmarks measure/report from the shared
-:class:`Campaigns` cache.  Scale is the package default
-(:data:`repro.analysis.DEFAULT`); set ``REPRO_BENCH_SMOKE=1`` to run the
-whole harness at test scale.
+The campaign is expensive (it is the paper's Tables I-III), so one
+:class:`~repro.analysis.Experiment` runs it once and every table benchmark
+reads its outcomes.  Scale is the package default
+(:data:`repro.analysis.DEFAULT`).  ``REPRO_BENCH_SMOKE=1`` switches to the
+test scale (:data:`repro.analysis.SMOKE`) for a quick run of the harness;
+the table benchmarks' shape asserts are calibrated for DEFAULT only, so
+at SMOKE some of them fail (IMM's size reduction, RAND's ``fc_diff`` and
+the whole-STL size aggregate fall short of their DEFAULT-scale bounds).
 """
 
 import os
@@ -14,45 +17,10 @@ import pytest
 from repro.analysis import DEFAULT, SMOKE, Experiment
 
 
-class Campaigns:
-    """Lazily-computed, cached campaign results shared by the benches."""
-
-    def __init__(self, scale):
-        self.experiment = Experiment(scale)
-        self._cache = {}
-
-    def _get(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def table1(self):
-        return self._get("table1", self.experiment.table1_features)
-
-    def du(self):
-        return self._get("du", self.experiment.run_du_campaign)
-
-    def sp(self):
-        return self._get("sp", self.experiment.run_sp_campaign)
-
-    def sfu(self):
-        return self._get("sfu", self.experiment.run_sfu_campaign)
-
-    def du_combined_fc(self):
-        outcomes, __ = self.du()
-        return self._get("du_fc", lambda: self.experiment.combined_fc_pair(
-            outcomes, ("IMM", "MEM", "CNTRL")))
-
-    def sp_combined_fc(self):
-        outcomes, __ = self.sp()
-        return self._get("sp_fc", lambda: self.experiment.combined_fc_pair(
-            outcomes, ("TPGEN", "RAND")))
-
-
 @pytest.fixture(scope="session")
-def campaigns():
-    scale = SMOKE if os.environ.get("REPRO_BENCH_SMOKE") else DEFAULT
-    return Campaigns(scale)
+def experiment():
+    return Experiment(SMOKE if os.environ.get("REPRO_BENCH_SMOKE")
+                      else DEFAULT)
 
 
 def run_once(benchmark, fn):

@@ -31,9 +31,9 @@ from repro.isa.instruction import Program
 from repro.stl import generate_imm, generate_sfu_imm
 
 
-def test_labeling_requires_fault_dropping(benchmark, campaigns):
-    module = campaigns.experiment.modules["decoder_unit"]
-    gpu = campaigns.experiment.gpu
+def test_labeling_requires_fault_dropping(benchmark, experiment):
+    module = experiment.modules["decoder_unit"]
+    gpu = experiment.gpu
     ptp = generate_imm(seed=13, num_sbs=40)
 
     def run():
@@ -61,9 +61,9 @@ def test_labeling_requires_fault_dropping(benchmark, campaigns):
     assert without_drop.compacted.size > 0.9 * ptp.size
 
 
-def test_sfu_pattern_order_matters(benchmark, campaigns):
-    module = campaigns.experiment.modules["sfu"]
-    gpu = campaigns.experiment.gpu
+def test_sfu_pattern_order_matters(benchmark, experiment):
+    module = experiment.modules["sfu"]
+    gpu = experiment.gpu
     ptp, __ = generate_sfu_imm(module, seed=13, atpg_random_patterns=96,
                                atpg_max_backtracks=5)
 
@@ -92,15 +92,15 @@ def test_sfu_pattern_order_matters(benchmark, campaigns):
             == backward.fault_result.num_detected)
 
 
-def test_sb_granularity_preserves_certified_patterns(benchmark, campaigns):
+def test_sb_granularity_preserves_certified_patterns(benchmark, experiment):
     # SFU_IMM is the PTP whose SBs are fully data-independent (Section IV),
     # so SB-granular removal must preserve every surviving pattern exactly;
     # pseudorandom SP PTPs deliberately read stale pool registers across
     # SBs, which is the SpT re-chaining effect, not a granularity issue.
     from collections import Counter
 
-    module = campaigns.experiment.modules["sfu"]
-    gpu = campaigns.experiment.gpu
+    module = experiment.modules["sfu"]
+    gpu = experiment.gpu
 
     ptp, __atpg = generate_sfu_imm(module, seed=13,
                                    atpg_random_patterns=96,

@@ -15,9 +15,9 @@ from repro.core import CompactionPipeline
 from repro.stl import generate_imm
 
 
-def test_single_fault_sim_vs_iterative(benchmark, campaigns):
-    module = campaigns.experiment.modules["decoder_unit"]
-    gpu = campaigns.experiment.gpu
+def test_single_fault_sim_vs_iterative(benchmark, experiment):
+    module = experiment.modules["decoder_unit"]
+    gpu = experiment.gpu
     # A dedicated mid-size PTP keeps the baseline tractable (it is O(SBs)
     # fault simulations) while leaving real redundancy to remove.
     ptp = generate_imm(seed=7, num_sbs=40)

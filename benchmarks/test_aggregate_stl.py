@@ -10,16 +10,9 @@ from conftest import run_once
 from repro.analysis import stl_aggregate
 
 
-def test_aggregate_stl_reduction(benchmark, campaigns):
-    def compute():
-        du_outcomes, __ = campaigns.du()
-        sp_outcomes, __sp = campaigns.sp()
-        sfu_outcomes, __sfu = campaigns.sfu()
-        outcomes = (list(du_outcomes.values()) + list(sp_outcomes.values())
-                    + list(sfu_outcomes.values()))
-        return stl_aggregate(outcomes)
-
-    aggregate = run_once(benchmark, compute)
+def test_aggregate_stl_reduction(benchmark, experiment):
+    aggregate = run_once(
+        benchmark, lambda: stl_aggregate(list(experiment.outcomes.values())))
     print()
     print("WHOLE-STL AGGREGATE (measured | paper)")
     print("  size reduction:     {:+.2f}% | {:+.2f}%".format(

@@ -14,8 +14,8 @@ from conftest import run_once
 from repro.analysis import render_table1, table1_rows
 
 
-def test_table1_features(benchmark, campaigns):
-    features = run_once(benchmark, campaigns.table1)
+def test_table1_features(benchmark, experiment):
+    features = run_once(benchmark, experiment.table1_features)
     print()
     print(render_table1(table1_rows(features)))
 

@@ -14,28 +14,19 @@ Shape checks (paper values in parentheses):
 """
 
 from conftest import run_once
-from repro.analysis import (
-    combined_outcome_row,
-    compaction_rows,
-    paper_data,
-    render_compaction_table,
-)
+from repro.analysis import compaction_rows, paper_data, render_compaction_table
 
 
-def test_table2_decoder_unit(benchmark, campaigns):
-    outcomes, pipeline = run_once(benchmark, campaigns.du)
-    fc_orig, fc_comp = campaigns.du_combined_fc()
-
-    rows = dict(outcomes)
-    rows["IMM+MEM+CNTRL"] = combined_outcome_row(
-        list(outcomes.values()), fc_orig, fc_comp)
+def test_table2_decoder_unit(benchmark, experiment):
+    rows = run_once(benchmark,
+                    lambda: experiment.compaction_table(paper_data.TABLE2))
     print()
     print(render_compaction_table(
         compaction_rows(rows, paper_data.TABLE2),
         "TABLE II. COMPACTION RESULTS, DECODER UNIT PTPS "
         "(measured | paper)"))
 
-    imm, mem, cntrl = outcomes["IMM"], outcomes["MEM"], outcomes["CNTRL"]
+    imm, mem, cntrl = rows["IMM"], rows["MEM"], rows["CNTRL"]
     # Pseudorandom DU PTPs compact massively.
     assert imm.size_reduction_percent < -55.0
     assert mem.size_reduction_percent < -55.0
@@ -50,5 +41,5 @@ def test_table2_decoder_unit(benchmark, campaigns):
     assert abs(imm.fc_diff) < 0.5
     assert abs(cntrl.fc_diff) < 5.0
     # One fault simulation drove each compaction.
-    for outcome in outcomes.values():
+    for outcome in (imm, mem, cntrl):
         assert outcome.fault_simulations == 3  # 1 compaction + 2 validation

@@ -15,36 +15,19 @@ Shape checks (paper values in parentheses):
 """
 
 from conftest import run_once
-from repro.analysis import (
-    combined_outcome_row,
-    compaction_rows,
-    paper_data,
-    render_compaction_table,
-)
+from repro.analysis import compaction_rows, paper_data, render_compaction_table
 
 
-def test_table3_functional_units(benchmark, campaigns):
-    def run_both():
-        sp_outcomes, __ = campaigns.sp()
-        sfu_outcomes, __sfu = campaigns.sfu()
-        return sp_outcomes, sfu_outcomes
-
-    sp_outcomes, sfu_outcomes = run_once(benchmark, run_both)
-    fc_orig, fc_comp = campaigns.sp_combined_fc()
-
-    rows = dict(sp_outcomes)
-    rows["TPGEN+RAND"] = combined_outcome_row(
-        list(sp_outcomes.values()), fc_orig, fc_comp)
-    rows["SFU_IMM"] = sfu_outcomes["SFU_IMM"]
+def test_table3_functional_units(benchmark, experiment):
+    rows = run_once(benchmark,
+                    lambda: experiment.compaction_table(paper_data.TABLE3))
     print()
     print(render_compaction_table(
         compaction_rows(rows, paper_data.TABLE3),
         "TABLE III. COMPACTION RESULTS, FUNCTIONAL-UNIT PTPS "
         "(measured | paper)"))
 
-    tpgen = sp_outcomes["TPGEN"]
-    rand = sp_outcomes["RAND"]
-    sfu = sfu_outcomes["SFU_IMM"]
+    tpgen, rand, sfu = rows["TPGEN"], rows["RAND"], rows["SFU_IMM"]
 
     # RAND (post-TPGEN dropping) compacts harder than TPGEN.
     assert rand.size_reduction_percent < tpgen.size_reduction_percent
@@ -53,8 +36,7 @@ def test_table3_functional_units(benchmark, campaigns):
     assert rand.fc_diff < -1.0            # paper: -17.07
     assert tpgen.fc_diff > -8.0           # paper: -1.31
     # The combined FC delta recovers most of RAND's standalone loss.
-    combined_diff = fc_comp - fc_orig
-    assert combined_diff > rand.fc_diff
+    assert rows["TPGEN+RAND"]["fc_diff"] > rand.fc_diff
     # SFU_IMM: smallest compaction of the table, FC exactly preserved.
     assert sfu.fc_diff == 0.0             # paper: 0.0
     assert sfu.size_reduction_percent > rand.size_reduction_percent

@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Compact the Decoder Unit's slice of an STL (the paper's Table II flow).
 
-Generates the three DU PTPs (IMM, MEM, CNTRL), compacts them in the
-paper's order with fault dropping carried across PTPs, reassembles the
-STL, and prints every intermediate artifact a test engineer would inspect:
-ARC percentages, the labeled-program listing head, the fault-sim report
-head, and the final Table-II-shaped rows.
+Generates the three DU PTPs (IMM, MEM, CNTRL), compacts them with one STL
+campaign in the paper's order (fault dropping carried across PTPs, the
+STL reassembled in place), and prints every intermediate artifact a test
+engineer would inspect: ARC percentages, the labeled-program listing head,
+the fault-sim report head, and the final Table-II-shaped rows.
 
 Run:  python examples/compact_decoder_stl.py
 """
 
 from repro.core import (
-    CompactionPipeline,
     partition_ptp,
+    run_stl_campaign,
     write_compaction_summary,
     write_fault_sim_report,
     write_labeled_ptp,
@@ -39,11 +39,11 @@ def main():
         print("  {:<6} {:5d} instructions, ARC {:5.1f}%".format(
             ptp.name, ptp.size, partition.arc_percent()))
 
-    pipeline = CompactionPipeline(decoder_unit)
+    total_before = stl.total_size
+    report, = run_stl_campaign(stl, {decoder_unit.name: decoder_unit})
     print("\nModule fault list: {} collapsed stuck-at faults".format(
-        pipeline.fault_report.total_faults))
-
-    outcomes = pipeline.compact_stl(stl)
+        report.total_faults))
+    outcomes = [record.outcome for record in report.records]
 
     for outcome in outcomes:
         print()
@@ -54,13 +54,11 @@ def main():
         print(head(write_fault_sim_report(
             outcome.fault_result, outcome.tracing.pattern_report)))
 
-    total_before = sum(o.original_size for o in outcomes)
-    total_after = sum(o.compacted_size for o in outcomes)
     print("\nReassembled STL: {} -> {} instructions ({:+.2f}%)".format(
-        total_before, total_after,
-        -100.0 * (total_before - total_after) / total_before))
+        total_before, stl.total_size,
+        -100.0 * (total_before - stl.total_size) / total_before))
     print("Cumulative DU fault coverage after dropping: {:.2f}%".format(
-        pipeline.fault_report.coverage()))
+        report.coverage_percent))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
-"""Shared experiment driver used by the benchmarks and examples.
+"""Shared experiment driver used by the benchmarks and ``repro tables``.
 
 Builds the three target modules, generates the six-PTP STL of Table I, and
-runs the compaction campaigns of Tables II/III with the paper's ordering
-(fault dropping IMM -> MEM -> CNTRL on the DU; TPGEN -> RAND on the SP
-cores; SFU_IMM with reversed patterns on the SFU).
+runs ONE :func:`~repro.core.campaign.run_stl_campaign` over it with the
+paper's ordering (fault dropping IMM -> MEM -> CNTRL on the DU; TPGEN ->
+RAND on the SP cores; SFU_IMM with reversed patterns on the SFU).  Tables
+I-III and the whole-STL aggregate all read that campaign's outcomes: Table
+I's durations and FCs are the stage-5 evaluations of the original PTPs and
+the combined FCs are unions of the stage-5 detected sets, so no PTP is
+fault-simulated twice.
 
 Scale is controlled by an :class:`ExperimentScale`; ``SMOKE`` keeps unit
 tests fast, ``DEFAULT`` is the benchmark configuration.
@@ -13,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.fc_eval import combined_fc, evaluate_fc
-from ..core.partition import partition_ptp
-from ..core.pipeline import CompactionPipeline
+from ..core.campaign import run_stl_campaign
+from ..core.fc_eval import combined_fc
 from ..gpu.gpu import Gpu
 from ..netlist.modules import build_decoder_unit, build_sfu, build_sp_core
 from ..stl.generators import (
@@ -27,6 +30,7 @@ from ..stl.generators import (
     generate_tpgen,
 )
 from ..stl.ptp import SelfTestLibrary
+from .tables import combined_outcome_row
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,10 @@ SMOKE = ExperimentScale(datapath_width=8, imm_sbs=16, mem_sbs=14,
                         sfu_random_patterns=32, sfu_max_backtracks=3,
                         sfu_podem_fault_limit=20)
 
+#: Combined rows of Tables I-III and the PTPs each one unites.
+COMBINED_ROWS = {"IMM+MEM+CNTRL": ("IMM", "MEM", "CNTRL"),
+                 "TPGEN+RAND": ("TPGEN", "RAND")}
+
 
 class Experiment:
     """Lazily-built modules, STL, and campaign results for one scale."""
@@ -67,6 +75,7 @@ class Experiment:
         self._modules = None
         self._stl = None
         self._atpg = {}
+        self._campaign = None
 
     @property
     def modules(self):
@@ -107,33 +116,47 @@ class Experiment:
             ])
         return self._stl
 
-    # -- Table I ---------------------------------------------------------------
+    @property
+    def campaign(self):
+        """Per-module :class:`~repro.core.campaign.CampaignReport` list of
+        the one STL campaign, run on first access over a copy of
+        :attr:`stl` (which keeps the original PTPs).  A failed PTP aborts
+        it with :class:`~repro.errors.CampaignError`."""
+        if self._campaign is None:
+            self._campaign = run_stl_campaign(
+                SelfTestLibrary(self.stl), self.modules, gpu=self.gpu,
+                keep_going=False)
+        return self._campaign
+
+    @property
+    def outcomes(self):
+        """{PTP name: :class:`~repro.core.pipeline.CompactionOutcome`} of
+        the campaign, in STL order."""
+        return {record.name: record.outcome
+                for report in self.campaign for record in report.records}
+
+    def _combined_fcs(self, outcomes):
+        """(original, compacted) union FC of *outcomes* (one module) from
+        their stage-5 detected sets."""
+        target = outcomes[0].ptp.target
+        total = next(report.total_faults for report in self.campaign
+                     if report.module_name == target)
+        return (combined_fc([o.original_detected for o in outcomes], total),
+                combined_fc([o.compacted_detected for o in outcomes], total))
 
     def table1_features(self):
         """Measured Table I rows: size, ARC%, duration, FC per PTP plus
         the two combined rows."""
+        outcomes = self.outcomes
         features = {}
-        evaluations = {}
-        for ptp in self.stl:
-            module = self.modules[ptp.target]
-            partition = partition_ptp(ptp)
-            evaluation = evaluate_fc(
-                ptp, module, gpu=self.gpu,
-                reverse_patterns=False)
-            evaluations[ptp.name] = evaluation
-            features[ptp.name] = {
-                "size": ptp.size,
-                "arc": partition.arc_percent(),
-                "duration": evaluation.cycles,
-                "fc": evaluation.fc_percent,
+        for name, outcome in outcomes.items():
+            features[name] = {
+                "size": outcome.original_size,
+                "arc": outcome.partition.arc_percent(),
+                "duration": outcome.original_cycles,
+                "fc": outcome.original_fc,
             }
-        for combo, parts in (("IMM+MEM+CNTRL", ("IMM", "MEM", "CNTRL")),
-                             ("TPGEN+RAND", ("TPGEN", "RAND"))):
-            target = self.stl[parts[0]].target
-            module = self.modules[target]
-            from ..faults.fault import FaultList
-
-            total_faults = len(FaultList(module.netlist))
+        for combo, parts in COMBINED_ROWS.items():
             features[combo] = {
                 "size": sum(features[p]["size"] for p in parts),
                 "arc": (100.0 * sum(
@@ -141,52 +164,24 @@ class Experiment:
                     for p in parts)
                     / sum(features[p]["size"] for p in parts)),
                 "duration": sum(features[p]["duration"] for p in parts),
-                "fc": combined_fc([evaluations[p] for p in parts],
-                                  total_faults),
+                "fc": self._combined_fcs([outcomes[p] for p in parts])[0],
             }
         return features
 
-    # -- Tables II / III ----------------------------------------------------------
-
-    def run_du_campaign(self):
-        """Table II: compact IMM, MEM, CNTRL (in order, shared dropping)."""
-        pipeline = CompactionPipeline(self.modules["decoder_unit"],
-                                      gpu=self.gpu)
-        outcomes = {}
-        for name in ("IMM", "MEM", "CNTRL"):
-            outcomes[name] = pipeline.compact(self.stl[name])
-        return outcomes, pipeline
-
-    def run_sp_campaign(self):
-        """Table III (SP rows): compact TPGEN then RAND (shared dropping)."""
-        pipeline = CompactionPipeline(self.modules["sp_core"], gpu=self.gpu)
-        outcomes = {}
-        for name in ("TPGEN", "RAND"):
-            outcomes[name] = pipeline.compact(self.stl[name])
-        return outcomes, pipeline
-
-    def run_sfu_campaign(self):
-        """Table III (SFU row): compact SFU_IMM with reversed patterns."""
-        pipeline = CompactionPipeline(self.modules["sfu"], gpu=self.gpu)
-        outcome = pipeline.compact(self.stl["SFU_IMM"],
-                                   reverse_patterns=True)
-        return {"SFU_IMM": outcome}, pipeline
-
-    def combined_fc_pair(self, outcomes, names):
-        """(original, compacted) union FC for a combined row."""
-        target = outcomes[names[0]].ptp.target
-        module = self.modules[target]
-        from ..faults.fault import FaultList
-
-        total = len(FaultList(module.netlist))
-        originals, compacteds = [], []
-        for name in names:
-            outcome = outcomes[name]
-            reverse = name == "SFU_IMM"
-            originals.append(evaluate_fc(outcome.ptp, module, gpu=self.gpu,
-                                         reverse_patterns=reverse))
-            compacteds.append(evaluate_fc(outcome.compacted, module,
-                                          gpu=self.gpu,
-                                          reverse_patterns=reverse))
-        return (combined_fc(originals, total),
-                combined_fc(compacteds, total))
+    def compaction_table(self, paper_table):
+        """Measured Table II or III: one row per row of *paper_table*
+        (:data:`~repro.analysis.paper_data.TABLE2` or ``TABLE3``), in its
+        order — the PTP's outcome, or a
+        :func:`~repro.analysis.tables.combined_outcome_row` dict for a
+        combined row.  Render with
+        :func:`~repro.analysis.tables.compaction_rows`."""
+        outcomes = self.outcomes
+        rows = {}
+        for name in paper_table:
+            if name in COMBINED_ROWS:
+                parts = [outcomes[p] for p in COMBINED_ROWS[name]]
+                rows[name] = combined_outcome_row(
+                    parts, *self._combined_fcs(parts))
+            else:
+                rows[name] = outcomes[name]
+        return rows

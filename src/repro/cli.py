@@ -251,27 +251,13 @@ def cmd_tables(args):
     if args.table1_only:
         return 0
     from .analysis import paper_data
-    from .analysis.tables import combined_outcome_row, compaction_rows, render_compaction_table
+    from .analysis.tables import compaction_rows, render_compaction_table
 
-    du_outcomes, __ = experiment.run_du_campaign()
-    fc_orig, fc_comp = experiment.combined_fc_pair(
-        du_outcomes, ("IMM", "MEM", "CNTRL"))
-    rows = dict(du_outcomes)
-    rows["IMM+MEM+CNTRL"] = combined_outcome_row(
-        list(du_outcomes.values()), fc_orig, fc_comp)
-    print(render_compaction_table(compaction_rows(rows, paper_data.TABLE2),
-                                  "TABLE II (measured | paper)"))
-
-    sp_outcomes, __ = experiment.run_sp_campaign()
-    sfu_outcomes, __s = experiment.run_sfu_campaign()
-    fc_orig, fc_comp = experiment.combined_fc_pair(sp_outcomes,
-                                                   ("TPGEN", "RAND"))
-    rows = dict(sp_outcomes)
-    rows["TPGEN+RAND"] = combined_outcome_row(
-        list(sp_outcomes.values()), fc_orig, fc_comp)
-    rows["SFU_IMM"] = sfu_outcomes["SFU_IMM"]
-    print(render_compaction_table(compaction_rows(rows, paper_data.TABLE3),
-                                  "TABLE III (measured | paper)"))
+    for title, paper_table in (("TABLE II", paper_data.TABLE2),
+                               ("TABLE III", paper_data.TABLE3)):
+        rows = experiment.compaction_table(paper_table)
+        print(render_compaction_table(compaction_rows(rows, paper_table),
+                                      title + " (measured | paper)"))
     return 0
 
 

@@ -1,9 +1,10 @@
 """Resilient multi-PTP compaction campaigns.
 
 :class:`CompactionCampaign` wraps a
-:class:`~repro.core.pipeline.CompactionPipeline` and drives a whole STL
-through it the way :meth:`~CompactionPipeline.compact_stl` does, but a
-campaign survives what would abort the plain loop:
+:class:`~repro.core.pipeline.CompactionPipeline` and drives every PTP of
+an STL that targets its module through it, in STL order, replacing each
+original with its compacted version.  A campaign survives what would
+abort a plain loop over :meth:`~CompactionPipeline.compact`:
 
 * **per-PTP failure isolation** — any :class:`~repro.errors.ReproError`
   raised while compacting one PTP (including watchdog breaches, below)
@@ -277,13 +278,6 @@ class CompactionCampaign:
             return
         compacted = (record.outcome.compacted
                      if record.status == COMPACTED else None)
-        # Checkpoint the artifact content keys this PTP touched, plus the
-        # fingerprint of the dropping state it left behind — a resumed
-        # campaign reuses the artifacts and can verify it restored the
-        # exact fault list they were produced under.
-        cache_keys = (dict(record.outcome.cache_keys)
-                      if record.outcome is not None else {})
-        cache_keys["fault_state"] = self.pipeline.fault_report.fingerprint()
         diagnostics = None
         if (record.outcome is not None
                 and record.outcome.verification is not None):
@@ -297,7 +291,6 @@ class CompactionCampaign:
                                    numbers=record.numbers,
                                    failure=record.failure,
                                    compacted=compacted,
-                                   cache_keys=cache_keys,
                                    diagnostics=diagnostics)
         self.checkpoint.record_module_state(
             self.module_name, self.pipeline.fault_report.state_dict())
@@ -309,9 +302,8 @@ class CompactionCampaign:
             resume=False):
         """Compact every PTP of *stl* targeting this module, resiliently.
 
-        Compacted PTPs replace their originals inside *stl* (as
-        :meth:`CompactionPipeline.compact_stl` does); rolled-back and
-        failed PTPs keep their originals.  Returns a
+        Compacted PTPs replace their originals inside *stl*; rolled-back
+        and failed PTPs keep their originals.  Returns a
         :class:`CampaignReport`.
 
         With *resume* (requires a checkpoint), PTPs already recorded in

@@ -5,8 +5,9 @@ campaign needs to continue *exactly* where the previous run stopped:
 
 * per-PTP outcome records — status (``compacted`` / ``rolled-back`` /
   ``failed``), the structured :class:`~repro.errors.PtpFailure` for
-  failed PTPs, the Table-II/III numbers, and (for compacted PTPs) the
-  full compacted PTP as a :func:`~repro.stl.io.ptp_to_dict` value;
+  failed PTPs, the Table-II/III numbers, the static verifier's
+  diagnostics, and (for compacted PTPs) the full compacted PTP as a
+  :func:`~repro.stl.io.ptp_to_dict` value;
 * per-module fault-dropping state — the
   :meth:`~repro.faults.dropping.FaultListReport.state_dict` snapshot,
   so the ordering-sensitive MEM-after-IMM / RAND-after-TPGEN semantics
@@ -40,21 +41,16 @@ class CampaignCheckpoint:
           "version": 1,
           "ptps": {name: {"status": ..., "failure": {...} | null,
                           "numbers": {...}, "compacted": {...} | null,
-                          "cache_keys": {...}, "diagnostics": [...]}},
+                          "diagnostics": [...]}},
           "order": [names in completion order],
           "modules": {module_name: <FaultListReport.state_dict()>}
         }
 
-    ``cache_keys`` (added by the exec subsystem) maps artifact names to
-    the SHA-256 content keys the PTP's compaction touched in the
-    :class:`~repro.exec.cache.ArtifactCache`; a resumed campaign reuses
-    those artifacts without recomputing their keys.  Under
-    ``--incremental`` the dict additionally carries
-    ``fault_state_record`` — the key of the per-(PTP, module, engine)
-    fault-state record the incremental layer read and rewrote for that
-    PTP (:meth:`~repro.exec.cache.ArtifactCache.fault_state_key`).  The
-    field is optional, so version-1 checkpoints written before it
-    existed still load.
+    A resumed campaign needs no artifact keys: the
+    :class:`~repro.exec.cache.ArtifactCache` is content-addressed, so the
+    same PTP meets the same entries again.  Entry fields the loader does
+    not read are ignored, so version-1 checkpoints whose entries still
+    carry an artifact-key dict from earlier releases load unchanged.
     """
 
     def __init__(self, path):
@@ -72,7 +68,7 @@ class CampaignCheckpoint:
         return self.ptps.get(name)
 
     def record_ptp(self, name, status, numbers=None, failure=None,
-                   compacted=None, cache_keys=None, diagnostics=None):
+                   compacted=None, diagnostics=None):
         """Record one PTP's final campaign outcome.
 
         Args:
@@ -81,8 +77,6 @@ class CampaignCheckpoint:
             numbers: optional dict of summary numbers (sizes, FC, ...).
             failure: optional :class:`~repro.errors.PtpFailure`.
             compacted: the compacted PTP (status ``"compacted"`` only).
-            cache_keys: optional artifact-name -> content-key dict from
-                :attr:`~repro.core.pipeline.CompactionOutcome.cache_keys`.
             diagnostics: optional list of static-verifier diagnostic
                 dicts (:meth:`repro.verify.Diagnostic.to_dict`) — the
                 pipeline's verification gate findings for this PTP.
@@ -95,7 +89,6 @@ class CampaignCheckpoint:
             "failure": failure.to_dict() if failure is not None else None,
             "compacted": (ptp_to_dict(compacted)
                           if compacted is not None else None),
-            "cache_keys": dict(cache_keys or {}),
             "diagnostics": list(diagnostics or []),
         }
         if name not in self.ptps:
@@ -109,14 +102,6 @@ class CampaignCheckpoint:
         if entry is None:
             return []
         return list(entry.get("diagnostics") or [])
-
-    def ptp_cache_keys(self, name):
-        """Artifact cache keys recorded for *name* ({} when absent —
-        including checkpoints written before the exec subsystem)."""
-        entry = self.ptps.get(name)
-        if entry is None:
-            return {}
-        return dict(entry.get("cache_keys") or {})
 
     def record_module_state(self, module_name, state):
         """Record a module's fault-dropping :meth:`state_dict` snapshot."""

@@ -41,9 +41,6 @@ class FcEvaluation:
     cycles: int
     pattern_count: int
     observability: str
-    #: artifact-cache key of the tracing this evaluation used (None when
-    #: no cache was attached).
-    cache_key: str | None = None
 
 
 def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
@@ -91,8 +88,7 @@ def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
     if observability is None:
         observability = "signature" if ptp.uses_signature else "module"
 
-    tracing, cache_key, __ = cached_logic_tracing(ptp, module, gpu, cache,
-                                                  metrics)
+    tracing = cached_logic_tracing(ptp, module, gpu, cache, metrics)
     report = tracing.pattern_report
     if reverse_patterns:
         report = report.reversed()
@@ -126,13 +122,13 @@ def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
         cycles=tracing.cycles,
         pattern_count=patterns.count,
         observability=observability,
-        cache_key=cache_key,
     )
 
 
-def combined_fc(evaluations, total_faults):
-    """FC of several PTPs taken together (union of detected faults)."""
+def combined_fc(detected_sets, total_faults):
+    """FC of several PTPs taken together: the union of their detected-fault
+    sets (e.g. :attr:`FcEvaluation.detected`) over *total_faults*."""
     union = set()
-    for evaluation in evaluations:
-        union |= evaluation.detected
+    for detected in detected_sets:
+        union |= detected
     return 100.0 * len(union) / total_faults if total_faults else 0.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CompactionError, VerificationError
 from ..exec.cache import cached_logic_tracing
@@ -72,13 +72,14 @@ class CompactionOutcome:
     compacted_cycles: int = 0
     original_fc: float | None = None
     compacted_fc: float | None = None
+    #: detected-fault sets of the two stage-5 evaluations (None unless
+    #: stage 5 ran); the union over several PTPs is their combined FC
+    #: (:func:`~repro.core.fc_eval.combined_fc`).
+    original_detected: set | None = None
+    compacted_detected: set | None = None
     compaction_seconds: float = 0.0
     fault_simulations: int = 0
     newly_dropped_faults: int = 0
-    #: artifact-cache keys touched by this compaction (name -> SHA-256),
-    #: e.g. ``{"tracing": ..., "evaluation_compacted": ...}``; campaign
-    #: checkpoints persist them so resumed runs reuse the artifacts.
-    cache_keys: dict = field(default_factory=dict)
 
     @property
     def size_reduction_percent(self):
@@ -269,7 +270,6 @@ class CompactionPipeline:
         hook = stage_hook or (lambda stage, **info: None)
         started = time.perf_counter()
 
-        cache_keys = {}
         # Stage 1: partitioning.
         hook("partition")
         with self._timed("partition"):
@@ -278,10 +278,8 @@ class CompactionPipeline:
         # memoized by the artifact cache when one is attached.
         hook("tracing")
         with self._timed("tracing"):
-            tracing, key, __ = cached_logic_tracing(
+            tracing = cached_logic_tracing(
                 ptp, self.module, self.gpu, self.cache, self.metrics)
-            if key is not None:
-                cache_keys["tracing"] = key
         report = tracing.pattern_report
         if reverse_patterns:
             report = report.reversed()
@@ -300,7 +298,6 @@ class CompactionPipeline:
             if self._incremental is not None:
                 state_key = self.cache.fault_state_key(
                     ptp.name, self.module, self.simulator.engine)
-                cache_keys["fault_state_record"] = state_key
                 fault_result, __info = self._incremental.run(
                     self.scheduler, self.simulator, patterns, target_list,
                     state_key)
@@ -372,7 +369,6 @@ class CompactionPipeline:
             compaction_seconds=compaction_seconds,
             fault_simulations=1,
             newly_dropped_faults=dropped,
-            cache_keys=cache_keys,
         )
 
         # Stage 5: reassembly validation (evaluation-only fault sims).
@@ -381,11 +377,10 @@ class CompactionPipeline:
         hook("evaluation")
         with self._timed("evaluation"):
             if evaluate:
-                # Under static pruning the FC denominator is the testable
-                # list; under "off" evaluate_fc keeps building its own
-                # full list (the seed accounting, bit for bit).
-                eval_list = (self.evaluation_fault_list
-                             if self.static_prune != "off" else None)
+                # The report's own list (full, or testable under static
+                # pruning): the kept detected sets then hold the faults
+                # the report already holds, not a fresh copy per run.
+                eval_list = self.evaluation_fault_list
                 original_eval = evaluate_fc(
                     ptp, self.module, fault_list=eval_list, gpu=self.gpu,
                     reverse_patterns=reverse_patterns, cache=self.cache,
@@ -397,37 +392,18 @@ class CompactionPipeline:
                     reverse_patterns=reverse_patterns, cache=self.cache,
                     scheduler=self.scheduler, metrics=self.metrics,
                     incremental=self._incremental)
-                if original_eval.cache_key is not None:
-                    cache_keys["evaluation_original"] = (
-                        original_eval.cache_key)
-                if compacted_eval.cache_key is not None:
-                    cache_keys["evaluation_compacted"] = (
-                        compacted_eval.cache_key)
                 outcome.original_fc = original_eval.fc_percent
                 outcome.compacted_fc = compacted_eval.fc_percent
+                outcome.original_detected = original_eval.detected
+                outcome.compacted_detected = compacted_eval.detected
                 outcome.original_cycles = original_eval.cycles
                 outcome.compacted_cycles = compacted_eval.cycles
                 outcome.fault_simulations += 2
             else:
-                compacted_tracing, key, __ = cached_logic_tracing(
+                compacted_tracing = cached_logic_tracing(
                     reduction.compacted, self.module, self.gpu, self.cache,
                     self.metrics)
-                if key is not None:
-                    cache_keys["evaluation_compacted"] = key
                 outcome.compacted_cycles = compacted_tracing.cycles
 
         self.outcomes.append(outcome)
         return outcome
-
-    def compact_stl(self, stl, reverse_for=("SFU_IMM",), evaluate=True):
-        """Compact every PTP of *stl* that targets this module, in STL
-        order (fault dropping carries across them); returns the outcomes
-        and replaces the PTPs inside *stl* with their compacted versions."""
-        outcomes = []
-        for ptp in list(stl.targeting(self.module.name)):
-            outcome = self.compact(ptp,
-                                   reverse_patterns=ptp.name in reverse_for,
-                                   evaluate=evaluate)
-            stl.replace(ptp.name, outcome.compacted)
-            outcomes.append(outcome)
-        return outcomes

@@ -301,23 +301,23 @@ def tracing_from_payload(payload, module):
 def cached_logic_tracing(ptp, module, gpu, cache, metrics=None):
     """Stage-2 logic tracing through the artifact cache.
 
-    Returns ``(tracing, key, hit)`` — with *cache* None this degrades to a
-    plain :func:`~repro.core.tracing.run_logic_tracing` call (key None).
+    Returns the tracing — with *cache* None this degrades to a plain
+    :func:`~repro.core.tracing.run_logic_tracing` call.
     """
     from ..core.tracing import run_logic_tracing
     from ..gpu.gpu import Gpu
 
     gpu = gpu or Gpu()
     if cache is None:
-        return run_logic_tracing(ptp, module, gpu=gpu), None, False
+        return run_logic_tracing(ptp, module, gpu=gpu)
     key = cache.key_for(ptp, gpu.config, module, "tracing")
     payload = cache.get(key)
     if payload is not None:
         if metrics is not None:
             metrics.record_cache_event(True)
-        return tracing_from_payload(payload, module), key, True
+        return tracing_from_payload(payload, module)
     if metrics is not None:
         metrics.record_cache_event(False)
     tracing = run_logic_tracing(ptp, module, gpu=gpu)
     cache.put(key, tracing_to_payload(tracing))
-    return tracing, key, False
+    return tracing

@@ -89,10 +89,11 @@ def test_experiment_builds_six_ptp_stl(experiment):
 
 
 def test_du_campaign_smoke(experiment):
-    outcomes, pipeline = experiment.run_du_campaign()
-    assert set(outcomes) == {"IMM", "MEM", "CNTRL"}
-    for outcome in outcomes.values():
-        assert outcome.compacted_size <= outcome.original_size
-        assert outcome.fault_simulations == 3
+    du = experiment.campaign[0]
+    assert du.module_name == "decoder_unit"
+    assert [record.name for record in du.records] == ["IMM", "MEM", "CNTRL"]
+    for record in du.records:
+        assert record.outcome.compacted_size <= record.outcome.original_size
+        assert record.outcome.fault_simulations == 3
     # Dropping accumulated across the three PTPs.
-    assert pipeline.fault_report.detected_faults > 0
+    assert du.total_faults - du.remaining_faults > 0

@@ -167,30 +167,24 @@ def test_resume_restores_dropping_order_semantics(du_module, gpu,
         first.pipeline.fault_report.remaining_faults)
 
 
-def test_cache_keys_round_trip_and_backward_compat(tmp_path):
-    from repro.core.checkpoint import CampaignCheckpoint
-
+def test_legacy_cache_keys_entries_still_load(tmp_path):
     path = str(tmp_path / "ck.json")
     checkpoint = CampaignCheckpoint(path)
-    keys = {"tracing": "a" * 64, "fault_state": "b" * 64}
-    checkpoint.record_ptp("IMM", "compacted", cache_keys=keys)
+    checkpoint.record_ptp("IMM", "compacted", numbers={"original_size": 9})
     checkpoint.record_ptp("MEM", "failed")
     checkpoint.save()
+    with open(path) as handle:
+        assert "cache_keys" not in handle.read()
 
-    loaded = CampaignCheckpoint.load(path)
-    assert loaded.ptp_cache_keys("IMM") == keys
-    assert loaded.ptp_cache_keys("MEM") == {}
-    assert loaded.ptp_cache_keys("missing") == {}
-
-    # Version-1 checkpoints written before the exec subsystem lack the
-    # field entirely; they must still load and report no keys.
-    import json
-
+    # Version-1 checkpoints of earlier releases carry a per-entry
+    # artifact-key dict; it is ignored and the rest still loads.
     with open(path) as handle:
         document = json.load(handle)
-    for entry in document["ptps"].values():
-        entry.pop("cache_keys", None)
+    document["ptps"]["IMM"]["cache_keys"] = {"tracing": "a" * 64,
+                                            "fault_state": "b" * 64}
     with open(path, "w") as handle:
         json.dump(document, handle)
     legacy = CampaignCheckpoint.load(path)
-    assert legacy.ptp_cache_keys("IMM") == {}
+    assert legacy.order == ["IMM", "MEM"]
+    assert legacy.ptp_entry("IMM")["numbers"] == {"original_size": 9}
+    assert legacy.ptp_entry("MEM")["status"] == "failed"

@@ -45,7 +45,7 @@ def test_combined_fc_is_union(du_module, gpu):
     a = evaluate_fc(generate_imm(seed=3, num_sbs=5), du_module, gpu=gpu)
     b = evaluate_fc(generate_imm(seed=99, num_sbs=5), du_module, gpu=gpu)
     total = len(FaultList(du_module.netlist))
-    union_fc = combined_fc([a, b], total)
+    union_fc = combined_fc([a.detected, b.detected], total)
     assert union_fc >= max(a.fc_percent, b.fc_percent)
     assert union_fc == pytest.approx(
         100.0 * len(a.detected | b.detected) / total)

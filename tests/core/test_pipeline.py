@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import CompactionPipeline, evaluate_fc, run_logic_tracing
 from repro.errors import CompactionError
-from repro.stl import SelfTestLibrary, generate_cntrl, generate_imm, generate_mem, generate_rand
+from repro.stl import generate_cntrl, generate_imm, generate_mem, generate_rand
 
 
 @pytest.fixture()
@@ -85,18 +85,6 @@ def test_compacted_ptp_is_executable(du_pipeline, du_module, gpu):
         outcome = du_pipeline.compact(gen(seed=6, **kw))
         tracing = run_logic_tracing(outcome.compacted, du_module, gpu=gpu)
         assert tracing.cycles == outcome.compacted_cycles
-
-
-def test_compact_stl_replaces_in_place(du_module, gpu):
-    stl = SelfTestLibrary([generate_imm(seed=4, num_sbs=8),
-                           generate_mem(seed=4, num_sbs=8),
-                           generate_rand(seed=4, num_sbs=4)])
-    pipeline = CompactionPipeline(du_module, gpu=gpu)
-    outcomes = pipeline.compact_stl(stl, evaluate=False)
-    assert [o.ptp.name for o in outcomes] == ["IMM", "MEM"]
-    assert stl[0].name == "IMM_compacted"
-    assert stl[1].name == "MEM_compacted"
-    assert stl["RAND"].name == "RAND"  # different module: untouched
 
 
 def test_sp_pipeline_uses_signature_observability(sp_module, gpu):

@@ -116,12 +116,10 @@ def test_cached_logic_tracing_round_trip(cache, du_module):
     ptp = generate_imm(seed=4, num_sbs=4)
     gpu = Gpu()
     metrics = RunMetrics()
-    first, key, hit = cached_logic_tracing(ptp, du_module, gpu, cache,
-                                           metrics)
-    assert not hit and key is not None
-    second, key2, hit2 = cached_logic_tracing(ptp, du_module, gpu, cache,
-                                              metrics)
-    assert hit2 and key2 == key
+    first = cached_logic_tracing(ptp, du_module, gpu, cache, metrics)
+    assert (cache.stats["hits"], cache.stats["misses"]) == (0, 1)
+    second = cached_logic_tracing(ptp, du_module, gpu, cache, metrics)
+    assert (cache.stats["hits"], cache.stats["misses"]) == (1, 1)
     # The reconstructed artifact is equivalent in every consumed field...
     assert second.cycles == first.cycles
     assert second.instructions == first.instructions
@@ -138,9 +136,9 @@ def test_cached_payload_feeds_identical_fault_sim(cache, du_module):
 
     ptp = generate_imm(seed=4, num_sbs=4)
     gpu = Gpu()
-    fresh, __, __h = cached_logic_tracing(ptp, du_module, gpu, cache)
-    cached, __k, hit = cached_logic_tracing(ptp, du_module, gpu, cache)
-    assert hit
+    fresh = cached_logic_tracing(ptp, du_module, gpu, cache)
+    cached = cached_logic_tracing(ptp, du_module, gpu, cache)
+    assert cache.stats["hits"] == 1
     simulator = FaultSimulator(du_module.netlist)
     fault_list = FaultList(du_module.netlist)
     a = simulator.run(fresh.pattern_report.to_pattern_set(), fault_list)
@@ -151,14 +149,15 @@ def test_cached_payload_feeds_identical_fault_sim(cache, du_module):
 
 def test_without_cache_degrades_to_plain_tracing(du_module):
     ptp = generate_imm(seed=4, num_sbs=3)
-    tracing, key, hit = cached_logic_tracing(ptp, du_module, Gpu(), None)
-    assert key is None and not hit
+    tracing = cached_logic_tracing(ptp, du_module, Gpu(), None)
     assert tracing.kernel_result is not None
 
 
 def test_entry_files_are_compact_json(cache, du_module):
     ptp = generate_imm(seed=4, num_sbs=3)
-    __, key, __h = cached_logic_tracing(ptp, du_module, Gpu(), cache)
+    gpu = Gpu()
+    cached_logic_tracing(ptp, du_module, gpu, cache)
+    key = cache.key_for(ptp, gpu.config, du_module, "tracing")
     with open(cache._path_of(key)) as handle:
         payload = json.load(handle)
     assert set(payload) == {"cycles", "instructions", "trace", "patterns"}
