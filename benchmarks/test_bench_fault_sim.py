@@ -67,6 +67,17 @@ def _time_run(fn, repeats=3):
     return best, result
 
 
+def _counted_run(scheduler, simulator, patterns, fault_list, last):
+    """``scheduler.run`` that leaves the run's ``fault_sim`` counter
+    deltas in the dict *last*."""
+    groups = scheduler.metrics.groups
+    before = dict(groups.get("fault_sim", {}))
+    result = scheduler.run(simulator, patterns, fault_list)
+    after = groups["fault_sim"]
+    last.update((name, after[name] - before.get(name, 0)) for name in after)
+    return result
+
+
 def test_bench_cone_vs_event_fault_sim():
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
     strict = bool(os.environ.get("REPRO_BENCH_STRICT"))
@@ -89,8 +100,10 @@ def test_bench_cone_vs_event_fault_sim():
             simulator = FaultSimulator(module.netlist, engine=engine)
             for jobs in _JOB_COUNTS:
                 scheduler = schedulers[jobs]
+                last = {}
                 seconds, result = _time_run(
-                    lambda: scheduler.run(simulator, patterns, fault_list))
+                    lambda: _counted_run(scheduler, simulator, patterns,
+                                         fault_list, last))
                 if baseline is None:
                     baseline = result
                 else:
@@ -98,8 +111,7 @@ def test_bench_cone_vs_event_fault_sim():
                             == baseline.detection_words)
                     assert (result.first_detection
                             == baseline.first_detection)
-                metrics = scheduler.metrics
-                last = metrics.fault_sim_runs[-1]
+                pooled_seconds = last.get("pooled_job_seconds")
                 rows.append({
                     "engine": engine,
                     "jobs": jobs,
@@ -109,9 +121,10 @@ def test_bench_cone_vs_event_fault_sim():
                     "gates_evaluated": last.get("gates_evaluated"),
                     "gates_skipped": last.get("gates_skipped"),
                     "chunks": last.get("chunks"),
-                    "shard_utilization": last.get("shard_utilization"),
-                    "inline_fallback": bool(
-                        metrics.counters.get("scheduler_inline_fallback")),
+                    "shard_utilization": (
+                        last["busy_seconds"] / pooled_seconds
+                        if pooled_seconds else None),
+                    "inline_fallback": bool(last.get("inline_fallback")),
                 })
         pool_gauges = dict(schedulers[2].metrics.pool)
     finally:

@@ -406,7 +406,7 @@ def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
     try:
         for target in targets:
             campaign = CompactionCampaign(
-                CompactionPipeline(modules[target], gpu=gpu, jobs=jobs,
+                CompactionPipeline(modules[target], gpu=gpu,
                                    cache=cache, metrics=metrics,
                                    verify=verify,
                                    scheduler=scheduler,

@@ -45,7 +45,7 @@ class FcEvaluation:
 
 def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
                 reverse_patterns=False, cache=None, scheduler=None,
-                metrics=None, incremental=None):
+                incremental=None):
     """Fault-simulate *ptp* end to end and report its FC.
 
     Args:
@@ -67,8 +67,9 @@ def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
             module-observability fault simulation (the signature fold is
             sequential — its per-thread MISR state does not shard).  A
             campaign-shared scheduler reuses its already-primed worker
-            pool here; evaluation always simulates the *full* fault list.
-        metrics: optional :class:`~repro.exec.metrics.RunMetrics`.
+            pool here; evaluation simulates all of *fault_list*, never
+            the dropped remainder (under static pruning the pipeline
+            passes the testable list).
         incremental: optional
             :class:`~repro.exec.incremental.IncrementalFaultSim` — the
             module-observability simulation then restores unchanged-cone
@@ -88,7 +89,7 @@ def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
     if observability is None:
         observability = "signature" if ptp.uses_signature else "module"
 
-    tracing = cached_logic_tracing(ptp, module, gpu, cache, metrics)
+    tracing = cached_logic_tracing(ptp, module, gpu, cache)
     report = tracing.pattern_report
     if reverse_patterns:
         report = report.reversed()

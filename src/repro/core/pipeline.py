@@ -123,7 +123,9 @@ class CompactionPipeline:
         cache: optional :class:`~repro.exec.cache.ArtifactCache`
             memoizing stage-2 tracing artifacts across runs.
         metrics: optional :class:`~repro.exec.metrics.RunMetrics`
-            accumulating stage timings, throughput, and cache counters.
+            accumulating stage timings and the ``verify``/``static``
+            counters (the scheduler, pool and incremental layer add
+            theirs).
         scheduler: optional shared
             :class:`~repro.exec.scheduler.ShardedFaultScheduler` — a
             campaign passes one scheduler to every per-module pipeline so
@@ -180,8 +182,9 @@ class CompactionPipeline:
                                             static_prune=static_prune)
         self.static_prune = self.fault_report.static_prune
         if metrics is not None and self.static_prune != "off":
-            metrics.record_static_triage(
-                self.static_prune, self.fault_report.untestable_faults)
+            metrics.groups["static"]["prune_mode"] = self.static_prune
+            metrics.bump("static.faults_pruned_static",
+                         self.fault_report.untestable_faults)
         self.simulator = FaultSimulator(module.netlist)
         self.cache = cache
         self.metrics = metrics
@@ -279,7 +282,7 @@ class CompactionPipeline:
         hook("tracing")
         with self._timed("tracing"):
             tracing = cached_logic_tracing(
-                ptp, self.module, self.gpu, self.cache, self.metrics)
+                ptp, self.module, self.gpu, self.cache)
         report = tracing.pattern_report
         if reverse_patterns:
             report = report.reversed()
@@ -314,7 +317,7 @@ class CompactionPipeline:
             checked = cross_check_pruned(self.module.netlist, patterns,
                                          list(self.fault_report.untestable))
             if self.metrics is not None:
-                self.metrics.record_cross_check(checked)
+                self.metrics.bump("static.cross_checked", checked)
         labeled = label_instructions(ptp, tracing.trace, report,
                                      fault_result)
         # Stage 4: reduction.
@@ -341,8 +344,10 @@ class CompactionPipeline:
                     ptp, reduction.compacted, pc_map=reduction.pc_map,
                     partition=partition)
             if self.metrics is not None:
-                self.metrics.record_verification(
-                    len(verification.errors), len(verification.warnings))
+                self.metrics.bump("verify.runs")
+                self.metrics.bump("verify.errors", len(verification.errors))
+                self.metrics.bump("verify.warnings",
+                                  len(verification.warnings))
             if self.verify == "strict" and not verification.ok:
                 first = verification.errors[0]
                 raise VerificationError(
@@ -384,14 +389,12 @@ class CompactionPipeline:
                 original_eval = evaluate_fc(
                     ptp, self.module, fault_list=eval_list, gpu=self.gpu,
                     reverse_patterns=reverse_patterns, cache=self.cache,
-                    scheduler=self.scheduler, metrics=self.metrics,
-                    incremental=self._incremental)
+                    scheduler=self.scheduler, incremental=self._incremental)
                 compacted_eval = evaluate_fc(
                     reduction.compacted, self.module, fault_list=eval_list,
                     gpu=self.gpu,
                     reverse_patterns=reverse_patterns, cache=self.cache,
-                    scheduler=self.scheduler, metrics=self.metrics,
-                    incremental=self._incremental)
+                    scheduler=self.scheduler, incremental=self._incremental)
                 outcome.original_fc = original_eval.fc_percent
                 outcome.compacted_fc = compacted_eval.fc_percent
                 outcome.original_detected = original_eval.detected
@@ -401,8 +404,7 @@ class CompactionPipeline:
                 outcome.fault_simulations += 2
             else:
                 compacted_tracing = cached_logic_tracing(
-                    reduction.compacted, self.module, self.gpu, self.cache,
-                    self.metrics)
+                    reduction.compacted, self.module, self.gpu, self.cache)
                 outcome.compacted_cycles = compacted_tracing.cycles
 
         self.outcomes.append(outcome)

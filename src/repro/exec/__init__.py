@@ -16,9 +16,11 @@ they compute:
   per-(PTP, module, engine) detection records keyed by cone-support
   pattern values, so a re-run after an STL edit only re-simulates the
   faults whose cone inputs actually changed (``--incremental``);
-* :mod:`repro.exec.metrics` — per-stage wall time, fault-sim throughput,
-  cache hit/miss counters, and shard utilization, persisted as JSON next
-  to the campaign checkpoint and rendered as the CLI's summary table.
+* :mod:`repro.exec.metrics` — a component-agnostic store: per-stage
+  wall time plus grouped counters that each component names itself
+  (``fault_sim.*``, ``pool.*``, ``incremental.*``, ...), persisted as
+  JSON next to the campaign checkpoint and rendered as the CLI's
+  summary table.
 """
 
 from .cache import ArtifactCache, cached_logic_tracing, default_cache_dir, module_fingerprint

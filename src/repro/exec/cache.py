@@ -298,7 +298,7 @@ def tracing_from_payload(payload, module):
                          kernel_result=None)
 
 
-def cached_logic_tracing(ptp, module, gpu, cache, metrics=None):
+def cached_logic_tracing(ptp, module, gpu, cache):
     """Stage-2 logic tracing through the artifact cache.
 
     Returns the tracing — with *cache* None this degrades to a plain
@@ -313,11 +313,7 @@ def cached_logic_tracing(ptp, module, gpu, cache, metrics=None):
     key = cache.key_for(ptp, gpu.config, module, "tracing")
     payload = cache.get(key)
     if payload is not None:
-        if metrics is not None:
-            metrics.record_cache_event(True)
         return tracing_from_payload(payload, module)
-    if metrics is not None:
-        metrics.record_cache_event(False)
     tracing = run_logic_tracing(ptp, module, gpu=gpu)
     cache.put(key, tracing_to_payload(tracing))
     return tracing

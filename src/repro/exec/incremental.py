@@ -90,9 +90,11 @@ class IncrementalFaultSim:
         cache: the :class:`~repro.exec.cache.ArtifactCache` holding the
             fault-state records (required — without a cache there is
             nothing to restore from).
-        metrics: optional :class:`~repro.exec.metrics.RunMetrics`;
-            receives one :meth:`~RunMetrics.record_incremental` call per
-            run plus ``cache.corrupt`` counter bumps.
+        metrics: optional :class:`~repro.exec.metrics.RunMetrics`; each
+            run adds to its ``incremental`` counter group (``runs``,
+            ``records_loaded`` or ``records_missing``, and the summed
+            group/fault counters of the run's *info*).  Corrupt records
+            are counted by the cache itself.
         mode: ``"on"`` (restore) or ``"strict"`` (restore, then
             re-simulate everything and assert bit-identity).
     """
@@ -183,7 +185,7 @@ class IncrementalFaultSim:
 
         if resim_count == n:
             result = self._full_run(scheduler, simulator, patterns,
-                                    fault_list, restored=0)
+                                    fault_list)
             words = list(result.detection_words)
         else:
             if resim_count:
@@ -193,8 +195,7 @@ class IncrementalFaultSim:
                         dense[offsets[i]] = fault_list[i]
                 sub_result = self._full_run(
                     scheduler, simulator, patterns,
-                    FaultList(simulator.netlist, dense),
-                    restored=restored_count)
+                    FaultList(simulator.netlist, dense))
                 for i in range(n):
                     if flags[i]:
                         words[i] = sub_result.detection_words[offsets[i]]
@@ -217,13 +218,8 @@ class IncrementalFaultSim:
 
     def _load(self, key, observed):
         """The validated record for *key*, or None (missing, stale, or
-        corrupt — corruption is counted and the entry deleted)."""
-        stats = self.cache.stats
-        before = stats.get("corrupt", 0)
+        corrupt — the cache counts corruption and deletes the entry)."""
         payload = self.cache.get(key)
-        delta = stats.get("corrupt", 0) - before
-        if delta and self.metrics is not None:
-            self.metrics.bump("cache.corrupt", delta)
         if payload is None:
             return None
         if (not isinstance(payload, dict)
@@ -235,8 +231,6 @@ class IncrementalFaultSim:
                 or not isinstance(body["supports"], dict)
                 or not isinstance(body["groups"], dict)):
             self.cache.report_corrupt(key)
-            if self.metrics is not None:
-                self.metrics.bump("cache.corrupt")
             return None
         if payload["observed"] != observed:
             return None  # different observation point: not this record
@@ -499,11 +493,9 @@ class IncrementalFaultSim:
         return schedule
 
     @staticmethod
-    def _full_run(scheduler, simulator, patterns, fault_list,
-                  restored=None):
+    def _full_run(scheduler, simulator, patterns, fault_list):
         if scheduler is not None:
-            return scheduler.run(simulator, patterns, fault_list,
-                                 restored=restored)
+            return scheduler.run(simulator, patterns, fault_list)
         return simulator.run(patterns, fault_list)
 
     def _strict_check(self, result, scheduler, simulator, patterns,
@@ -524,5 +516,12 @@ class IncrementalFaultSim:
                 .format(mismatches, len(fault_list)))
 
     def _note(self, info):
-        if self.metrics is not None:
-            self.metrics.record_incremental(info)
+        if self.metrics is None:
+            return
+        self.metrics.bump("incremental.runs")
+        self.metrics.bump("incremental.records_loaded"
+                          if info["record_hit"]
+                          else "incremental.records_missing")
+        for field, amount in info.items():
+            if field != "record_hit":
+                self.metrics.bump("incremental." + field, amount)

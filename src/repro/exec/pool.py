@@ -103,11 +103,12 @@ def _release_pipes(worker):
 # -- worker process side ----------------------------------------------------
 
 class _WorkerState:
-    """Per-process caches: contexts and pattern sets."""
+    """Per-process caches: contexts and each context's latest pattern
+    set (a new prime replaces the old set)."""
 
     def __init__(self):
         self.contexts = {}   # ctx_id -> (simulator, canonical FaultList)
-        self.patterns = {}   # (ctx_id, pat_id) -> PatternSet
+        self.patterns = {}   # ctx_id -> (pat_id, PatternSet)
 
 
 def _prime_context(state, ctx_id, netlist, observed, engine):
@@ -127,7 +128,7 @@ def _prime_patterns(state, ctx_id, pat_id, packed, count):
     patterns = PatternSet(simulator.netlist)
     patterns.packed = dict(packed)
     patterns.count = count
-    state.patterns[(ctx_id, pat_id)] = patterns
+    state.patterns[ctx_id] = (pat_id, patterns)
 
 
 def _run_chunk(state, ctx_id, pat_id, entries):
@@ -140,7 +141,10 @@ def _run_chunk(state, ctx_id, pat_id, entries):
     from ..faults.fault import FaultList
 
     simulator, canonical = state.contexts[ctx_id]
-    patterns = state.patterns[(ctx_id, pat_id)]
+    primed_id, patterns = state.patterns[ctx_id]
+    if primed_id != pat_id:
+        raise SchedulerError("chunk for pattern set {} but set {} is "
+                             "primed".format(pat_id, primed_id))
     faults = [canonical[entry] if isinstance(entry, int) else entry
               for entry in entries]
     before = dict(simulator.stats)
@@ -187,7 +191,7 @@ class _Context:
     """Parent-side registry entry for one (netlist, observed, engine)."""
 
     __slots__ = ("ctx_id", "netlist", "observed", "engine", "index",
-                 "patterns")
+                 "pattern")
 
     def __init__(self, ctx_id, netlist, observed, engine, index):
         self.ctx_id = ctx_id
@@ -195,8 +199,8 @@ class _Context:
         self.observed = observed
         self.engine = engine
         self.index = index          # canonical fault -> id
-        self.patterns = {}          # id(patterns) -> (patterns, pat_id,
-        #                                              count)
+        self.pattern = None         # latest (patterns, pat_id, count,
+        #                                     version)
 
     def matches(self, netlist, observed, engine):
         return (self.netlist is netlist and self.observed == observed
@@ -215,7 +219,7 @@ class _Worker:
         self.tasks = tasks
         self.results = results      # receiving end of the result pipe
         self.contexts = set()       # primed ctx_ids
-        self.patterns = set()       # primed (ctx_id, pat_id)
+        self.patterns = {}          # ctx_id -> primed pat_id
         self.inflight = {}          # job_id -> _Job
 
     @property
@@ -241,7 +245,7 @@ class WorkerPool:
     Args:
         workers: target number of worker processes (>= 1).
         metrics: optional :class:`~repro.exec.metrics.RunMetrics`; pool
-            events land in its ``pool`` counter group.
+            events land in its ``pool`` counter group (``pool.*``).
     """
 
     def __init__(self, workers, metrics=None):
@@ -260,7 +264,7 @@ class WorkerPool:
 
     def _bump(self, event, amount=1):
         if self.metrics is not None:
-            self.metrics.record_pool_event(event, amount)
+            self.metrics.bump("pool." + event, amount)
 
     @property
     def started(self):
@@ -363,20 +367,19 @@ class WorkerPool:
     # -- priming ---------------------------------------------------------
 
     def _pattern_id(self, context, patterns):
-        """Stable id of *patterns* within *context* (strong ref pins the
-        object so Python cannot recycle its id for a different set; the
-        mutation version guards against the same set object being grown
-        through ``add``/``add_words`` after priming — a stale version
-        gets a fresh id, so workers are re-primed with current packed
-        words instead of simulating the truncated snapshot)."""
+        """Id of *patterns* within *context*.  Only the context's latest
+        set is kept: a different set object — or the same set grown
+        through ``add``/``add_words`` since priming (a stale count or
+        mutation version) — gets a fresh id and replaces it, so workers
+        are re-primed with current packed words instead of simulating a
+        truncated snapshot, and no earlier set stays pinned."""
         version = getattr(patterns, "version", 0)
-        entry = context.patterns.get(id(patterns))
+        entry = context.pattern
         if entry is not None and entry[0] is patterns \
                 and entry[2] == patterns.count and entry[3] == version:
             return entry[1]
         pat_id = next(self._ids)
-        context.patterns[id(patterns)] = (patterns, pat_id, patterns.count,
-                                          version)
+        context.pattern = (patterns, pat_id, patterns.count, version)
         return pat_id
 
     def _prime(self, worker, context, patterns, pat_id):
@@ -386,11 +389,10 @@ class WorkerPool:
                               list(context.observed), context.engine))
             worker.contexts.add(context.ctx_id)
             self._bump("contexts_shipped")
-        key = (context.ctx_id, pat_id)
-        if key not in worker.patterns:
+        if worker.patterns.get(context.ctx_id) != pat_id:
             worker.tasks.put(("patterns", context.ctx_id, pat_id,
                               patterns.packed, patterns.count))
-            worker.patterns.add(key)
+            worker.patterns[context.ctx_id] = pat_id
             self._bump("patterns_shipped")
 
     # -- the run ---------------------------------------------------------
@@ -519,9 +521,7 @@ class WorkerPool:
             if tag == "primed":
                 __, __, __, seconds = message
                 self._bump("worker_init_events")
-                if self.metrics is not None:
-                    self.metrics.record_pool_seconds("worker_init_seconds",
-                                                     seconds)
+                self._bump("worker_init_seconds", seconds)
                 continue
             if tag == "error":
                 __, worker_id, job_id, text = message

@@ -22,8 +22,14 @@ pipelines share one scheduler) and primed with the netlist, propagation
 schedule, and pattern set exactly once each; chunk jobs then carry only
 canonical fault ids.  If the platform refuses to start worker processes
 (sandboxes, restricted containers), the scheduler falls back to inline
-execution and reports it through the metrics counter
-``scheduler_inline_fallback``.
+execution and counts it as ``fault_sim.inline_fallback``.
+
+Every run adds to the ``fault_sim`` counter group of the scheduler's
+:class:`~repro.exec.metrics.RunMetrics`: ``runs``, ``faults``,
+``patterns``, ``seconds``, ``gates_evaluated`` and ``gates_skipped``;
+pooled runs also add ``chunks``, the chunks' ``busy_seconds`` and
+``pooled_job_seconds`` (jobs x wall seconds), whose ratio is the shard
+utilization.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import time
 from ..errors import SchedulerError
 from ..faults.fault import FaultList
 from ..faults.fault_sim import FaultSimResult
-from .pool import WorkerPool
+from .pool import WorkerPool, _stats_delta
 
 #: Environment variable consulted when no explicit job count is given
 #: (lets CI run the whole tier-1 suite through the sharded path).
@@ -73,12 +79,6 @@ def resolve_jobs(jobs=None, default=1):
     if not explicit and jobs > 1 and (os.cpu_count() or 1) < 2:
         jobs = 1
     return jobs
-
-
-def _stats_delta(simulator, before):
-    """Propagation-counter delta of *simulator* since snapshot *before*."""
-    return {key: value - before.get(key, 0)
-            for key, value in simulator.stats.items()}
 
 
 class ShardedFaultScheduler:
@@ -134,58 +134,42 @@ class ShardedFaultScheduler:
 
     # -- runs ------------------------------------------------------------
 
-    def run(self, simulator, patterns, fault_list=None, restored=None):
+    def run(self, simulator, patterns, fault_list=None):
         """Pooled equivalent of ``simulator.run(patterns, fault_list)``.
 
         Returns a :class:`FaultSimResult` bit-identical to the sequential
-        call's.  *restored* is a pass-through metrics annotation: the
-        number of faults the incremental layer restored from cache
-        alongside this (already-compacted) worklist.
+        call's.
         """
         if fault_list is None:
             fault_list = FaultList(simulator.netlist)
         started = time.perf_counter()
-        if (self.jobs == 1 or patterns.count == 0
-                or len(fault_list) < self.jobs * self.min_faults_per_shard):
-            return self._run_inline(simulator, patterns, fault_list,
-                                    started, restored=restored)
-        try:
-            pool = self._ensure_pool()
-            words, firsts, busy, stats = pool.simulate(
-                simulator, patterns, fault_list)
-        except (OSError, PermissionError) as exc:
-            # Restricted environments (no fork/semaphores): degrade to the
-            # sequential path rather than failing the compaction.
-            del exc
-            if self.metrics is not None:
-                self.metrics.bump("scheduler_inline_fallback")
-            return self._run_inline(simulator, patterns, fault_list,
-                                    started, restored=restored)
-        result = FaultSimResult(fault_list, patterns.count, words, firsts)
-        self._record(result, time.perf_counter() - started, jobs=self.jobs,
-                     shard_busy=busy, engine=simulator.engine, stats=stats,
-                     chunks=len(busy), restored=restored)
+        pooled = None
+        if (self.jobs > 1 and patterns.count
+                and len(fault_list) >= self.jobs * self.min_faults_per_shard):
+            try:
+                pooled = self._ensure_pool().simulate(simulator, patterns,
+                                                      fault_list)
+            except (OSError, PermissionError):
+                # Restricted environments (no fork/semaphores): degrade to
+                # the sequential path rather than failing the compaction.
+                if self.metrics is not None:
+                    self.metrics.bump("fault_sim.inline_fallback")
+        if pooled is None:
+            before = dict(simulator.stats)
+            result = simulator.run(patterns, fault_list)
+            stats = _stats_delta(simulator, before)
+        else:
+            words, firsts, busy, stats = pooled
+            result = FaultSimResult(fault_list, patterns.count, words, firsts)
+        seconds = time.perf_counter() - started
+        counts = {"runs": 1, "faults": len(fault_list),
+                  "patterns": patterns.count, "seconds": seconds,
+                  "gates_evaluated": stats.get("gates_evaluated", 0),
+                  "gates_skipped": stats.get("gates_skipped", 0)}
+        if pooled is not None:
+            counts.update(chunks=len(busy), busy_seconds=sum(busy),
+                          pooled_job_seconds=self.jobs * seconds)
+        if self.metrics is not None:
+            for name, amount in counts.items():
+                self.metrics.bump("fault_sim." + name, amount)
         return result
-
-    def _run_inline(self, simulator, patterns, fault_list, started,
-                    restored=None):
-        before = dict(simulator.stats)
-        result = simulator.run(patterns, fault_list)
-        self._record(result, time.perf_counter() - started, jobs=1,
-                     engine=simulator.engine,
-                     stats=_stats_delta(simulator, before),
-                     restored=restored)
-        return result
-
-    def _record(self, result, seconds, jobs, shard_busy=None, engine=None,
-                stats=None, chunks=None, restored=None):
-        if self.metrics is None:
-            return
-        stats = stats or {}
-        self.metrics.record_fault_sim(
-            faults=len(result.fault_list), patterns=result.pattern_count,
-            seconds=seconds, jobs=jobs, shard_busy_seconds=shard_busy,
-            engine=engine, chunks=chunks,
-            gates_evaluated=stats.get("gates_evaluated"),
-            gates_skipped=stats.get("gates_skipped"), restored=restored)
-

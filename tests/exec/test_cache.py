@@ -7,7 +7,6 @@ import pytest
 
 from repro.exec import (
     ArtifactCache,
-    RunMetrics,
     cached_logic_tracing,
     default_cache_dir,
     module_fingerprint,
@@ -115,10 +114,9 @@ def test_clear_removes_entries(cache):
 def test_cached_logic_tracing_round_trip(cache, du_module):
     ptp = generate_imm(seed=4, num_sbs=4)
     gpu = Gpu()
-    metrics = RunMetrics()
-    first = cached_logic_tracing(ptp, du_module, gpu, cache, metrics)
+    first = cached_logic_tracing(ptp, du_module, gpu, cache)
     assert (cache.stats["hits"], cache.stats["misses"]) == (0, 1)
-    second = cached_logic_tracing(ptp, du_module, gpu, cache, metrics)
+    second = cached_logic_tracing(ptp, du_module, gpu, cache)
     assert (cache.stats["hits"], cache.stats["misses"]) == (1, 1)
     # The reconstructed artifact is equivalent in every consumed field...
     assert second.cycles == first.cycles
@@ -127,8 +125,8 @@ def test_cached_logic_tracing_round_trip(cache, du_module):
     assert second.pattern_report.records == first.pattern_report.records
     # ...except the deliberately uncached raw kernel result.
     assert second.kernel_result is None
-    assert metrics.cache == {"hits": 1, "misses": 1, "puts": 0,
-                             "evictions": 0}
+    assert cache.stats == {"hits": 1, "misses": 1, "puts": 1,
+                           "evictions": 0, "corrupt": 0}
 
 
 def test_cached_payload_feeds_identical_fault_sim(cache, du_module):

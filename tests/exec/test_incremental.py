@@ -254,7 +254,7 @@ def _cold_then_corrupt(cache, how):
 
 def test_truncated_record_falls_back_to_full_resimulation(cache):
     """Satellite regression: a torn write (invalid JSON) must cost a full
-    re-simulation and a ``cache.corrupt`` bump — never an exception."""
+    re-simulation and a ``corrupt`` count — never an exception."""
     def truncate(path, payload):
         with open(path, "w") as handle:
             handle.write(json.dumps(payload)[:40])
@@ -266,7 +266,6 @@ def test_truncated_record_falls_back_to_full_resimulation(cache):
     assert info["faults_resimulated"] == len(fault_list)
     assert warm.detection_words == cold.detection_words
     assert cache.stats["corrupt"] >= 1
-    assert metrics.counters["cache.corrupt"] >= 1
     # The torn entry was deleted, and the re-run rewrote a fresh one.
     assert os.path.exists(path)
     with open(path) as handle:
@@ -293,7 +292,30 @@ def test_bit_flipped_record_is_detected_deleted_and_resimulated(cache):
     assert warm.detection_words == cold.detection_words
     assert warm.first_detection == cold.first_detection
     assert cache.stats["corrupt"] >= 1
-    assert metrics.counters["cache.corrupt"] >= 1
+
+
+@pytest.mark.parametrize("how", ["truncate", "flip"])
+def test_corrupt_record_is_counted_once(cache, how):
+    """One corrupt entry is one count in the metrics document: the cache
+    counts it, and the incremental layer adds no second count."""
+    def corrupt(path, payload):
+        if how == "flip":
+            payload["checksum"] = format(int(payload["checksum"], 16) ^ 1,
+                                         "064x")
+        text = json.dumps(payload)
+        with open(path, "w") as handle:
+            handle.write(text if how == "flip" else text[:40])
+
+    (inc, simulator, patterns, fault_list, key, __cold, metrics,
+     __path) = _cold_then_corrupt(cache, corrupt)
+    inc.run(None, simulator, patterns, fault_list, key)
+    metrics.absorb_cache_stats(cache.stats)
+    document = metrics.to_dict()
+    assert document["cache"]["corrupt"] == 1
+    assert sum(counts.get("corrupt", 0) for name, counts in document.items()
+               if isinstance(counts, dict) and name != "stages") == 1
+    # The cold run found no record, the warm run a corrupt one.
+    assert document["incremental"]["records_missing"] == 2
 
 
 def test_stale_format_version_is_ignored_not_corrupt(cache):

@@ -6,10 +6,12 @@ the sequential run and the pool remains usable afterwards — the scheduler
 layer's fault isolation must never corrupt a FaultListReport.
 """
 
+import gc
 import os
 import signal
 import struct
 import time
+import weakref
 
 import pytest
 
@@ -78,8 +80,45 @@ def test_pooled_workers_reprime_mutated_pattern_sets(engine):
         patterns.add({a: 1, b: 1})
         assert scheduler.run(simulator, patterns,
                              fault_list).detection_words == [0b10, 0b01]
-    assert [run["jobs"] for run in metrics.fault_sim_runs] == [2, 2]
+    assert metrics.groups["fault_sim"]["runs"] == 2
+    assert metrics.groups["fault_sim"]["chunks"] >= 2   # both pooled
     assert metrics.pool["patterns_shipped"] >= 2
+
+
+def test_pool_keeps_only_the_latest_pattern_set(workload):
+    """A pooled run on a new pattern set replaces the context's old set in
+    the parent and in every worker, so the old set is not pinned."""
+    import repro.exec.pool as pool_mod
+
+    simulator, patterns, fault_list = workload
+    sequential = simulator.run(patterns, fault_list)
+    old = PatternSet(simulator.netlist)
+    old.packed = dict(patterns.packed)
+    old.count = patterns.count
+    dead = weakref.ref(old)
+    with WorkerPool(2) as pool:
+        assert pool.simulate(simulator, old, fault_list)[0] == \
+            sequential.detection_words
+        words = pool.simulate(simulator, patterns, fault_list)[0]
+        (context,) = pool._contexts
+        assert context.pattern[0] is patterns
+        assert all(len(w.patterns) == 1 for w in pool._workers)
+    assert words == sequential.detection_words
+    del old
+    gc.collect()
+    assert dead() is None
+
+    # Worker side: a second prime for the same context replaces the first.
+    state = pool_mod._WorkerState()
+    pool_mod._prime_context(state, 0, simulator.netlist,
+                            list(simulator.observed), simulator.engine)
+    for pat_id in (1, 2):
+        pool_mod._prime_patterns(state, 0, pat_id, patterns.packed,
+                                 patterns.count)
+    assert list(state.patterns) == [0]
+    assert state.patterns[0][0] == 2
+    with pytest.raises(SchedulerError):
+        pool_mod._run_chunk(state, 0, 1, [0])
 
 
 # -- worker death -----------------------------------------------------------
@@ -268,5 +307,6 @@ def test_single_job_runs_inline(workload):
         result = scheduler.run(simulator, patterns, fault_list)
         assert result.detection_words == sequential.detection_words
         assert scheduler._pool is None, "no pool may be constructed"
-    (run,) = scheduler.metrics.fault_sim_runs
-    assert run["jobs"] == 1
+    run = scheduler.metrics.groups["fault_sim"]
+    assert run["runs"] == 1
+    assert "chunks" not in run

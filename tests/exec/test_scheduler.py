@@ -79,13 +79,14 @@ def test_sharded_run_records_metrics(du_workload):
     metrics = RunMetrics()
     with ShardedFaultScheduler(jobs=2, metrics=metrics) as scheduler:
         scheduler.run(simulator, patterns, fault_list)
-    (run,) = metrics.fault_sim_runs
+    run = metrics.groups["fault_sim"]
+    assert run["runs"] == 1
     assert run["faults"] == len(fault_list)
     assert run["patterns"] == patterns.count
-    assert run["jobs"] == 2
-    # Chunk streaming: several chunks per worker, one busy sample each.
-    assert run["chunks"] == run["shards"] >= 2
-    assert run["shard_utilization"] > 0.0
+    assert run["pooled_job_seconds"] == 2 * run["seconds"] > 0.0
+    # Chunk streaming: several chunks per worker.
+    assert run["chunks"] >= 2
+    assert run["busy_seconds"] > 0.0
     assert metrics.pool["workers_spawned"] == 2
     assert metrics.pool["chunks_dispatched"] >= run["chunks"]
 
@@ -98,8 +99,9 @@ def test_small_fault_lists_run_inline(du_workload):
     result = scheduler.run(simulator, patterns, small)
     assert result.detection_words == simulator.run(
         patterns, small).detection_words
-    (run,) = metrics.fault_sim_runs
-    assert run["jobs"] == 1              # below jobs * min_faults_per_shard
+    run = metrics.groups["fault_sim"]
+    assert run["runs"] == 1
+    assert "chunks" not in run           # below jobs * min_faults_per_shard
 
 
 def test_pool_failure_falls_back_inline(du_workload, monkeypatch):
@@ -122,7 +124,8 @@ def test_pool_failure_falls_back_inline(du_workload, monkeypatch):
         result = scheduler.run(simulator, patterns, fault_list)
     assert result.first_detection == simulator.run(
         patterns, fault_list).first_detection
-    assert metrics.counters["scheduler_inline_fallback"] == 1
+    assert metrics.groups["fault_sim"]["inline_fallback"] == 1
+    assert "chunks" not in metrics.groups["fault_sim"]
 
 
 # -- dropping carried across PTPs ------------------------------------------

@@ -112,3 +112,27 @@ def test_campaign_leaves_no_pool_workers(monkeypatch):
     experiment = Experiment(SMOKE)
     assert experiment.campaign
     assert set(multiprocessing.active_children()) - before == set()
+
+
+def test_fault_sim_counts_every_scheduled_fault(experiment, monkeypatch):
+    """``fault_sim.faults`` sums the fault lists the campaign handed its
+    scheduler: no run is missed and none is counted twice."""
+    from repro.core.campaign import run_stl_campaign
+    from repro.exec import RunMetrics, ShardedFaultScheduler
+    from repro.stl.ptp import SelfTestLibrary
+
+    handed = []
+    run = ShardedFaultScheduler.run
+
+    def counting_run(self, simulator, patterns, fault_list=None):
+        handed.append(len(fault_list if fault_list is not None
+                          else FaultList(simulator.netlist)))
+        return run(self, simulator, patterns, fault_list)
+
+    monkeypatch.setattr(ShardedFaultScheduler, "run", counting_run)
+    metrics = RunMetrics()
+    run_stl_campaign(SelfTestLibrary(experiment.stl), experiment.modules,
+                     gpu=experiment.gpu, metrics=metrics, keep_going=False)
+    assert handed
+    assert metrics.groups["fault_sim"]["runs"] == len(handed)
+    assert metrics.groups["fault_sim"]["faults"] == sum(handed)

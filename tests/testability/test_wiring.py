@@ -85,16 +85,22 @@ def test_checkpoint_state_roundtrip_and_mode_guard():
         FaultListReport(nl).restore_state(state)
 
 
-def test_metrics_static_gauges_accumulate_and_render():
+def test_metrics_static_gauges_accumulate_and_render(du_module):
+    """Each pruning pipeline adds its module's pruned count (a campaign
+    sums them over its modules)."""
+    from repro.core.pipeline import CompactionPipeline
+
     metrics = RunMetrics()
-    assert metrics.static["prune_mode"] == "off"
-    metrics.record_static_triage("safe", 7)
-    metrics.record_static_triage("safe", 3)
-    metrics.record_cross_check(7)
-    assert metrics.static == {"prune_mode": "safe",
-                              "faults_pruned_static": 10,
-                              "cross_checked": 7}
-    assert metrics.to_dict()["static"]["faults_pruned_static"] == 10
+    assert metrics.groups["static"]["prune_mode"] == "off"
+    for __ in range(2):
+        with CompactionPipeline(du_module, metrics=metrics,
+                                static_prune="safe") as pipeline:
+            pruned = pipeline.fault_report.untestable_faults
+    assert pruned > 0
+    assert metrics.groups["static"] == {"prune_mode": "safe",
+                                        "faults_pruned_static": 2 * pruned,
+                                        "cross_checked": 0}
+    assert metrics.to_dict()["static"]["faults_pruned_static"] == 2 * pruned
     assert "static triage" in metrics.summary_table()
     assert "prune=safe" in metrics.summary_table()
 

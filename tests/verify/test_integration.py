@@ -50,8 +50,8 @@ def test_strict_gate_passes_clean_compaction_and_counts_metrics(du_module):
     outcome = pipe.compact(generate_imm(seed=4, num_sbs=5), evaluate=False)
     assert isinstance(outcome.verification, VerificationReport)
     assert outcome.verification.ok
-    assert metrics.counters["verify.runs"] == 1
-    assert metrics.counters.get("verify.errors", 0) == 0
+    assert metrics.groups["verify"]["runs"] == 1
+    assert metrics.groups["verify"]["errors"] == 0
     assert "verify" in metrics.stage_seconds
     assert "verify" in metrics.summary_table()
 
