@@ -26,10 +26,10 @@ def main():
 
     ptp, atpg = generate_tpgen(sp_core, seed=42, atpg_random_patterns=96,
                                atpg_max_backtracks=8)
-    print("ATPG: {} patterns, {:.2f}% fault coverage, {} untestable, "
-          "{} aborted".format(atpg.patterns.count,
-                              atpg.coverage(len(fault_list)),
-                              len(atpg.untestable), len(atpg.aborted)))
+    print("ATPG: {} patterns, {:.2f}% fault coverage, {} untestable "
+          "({} proven statically), {} aborted".format(
+              atpg.patterns.count, atpg.coverage(len(fault_list)),
+              len(atpg.untestable), len(atpg.proofs), len(atpg.aborted)))
 
     tuples = _sp_pattern_tuples(sp_core, atpg)
     valid_codes = {e.value for e in SPOp}
