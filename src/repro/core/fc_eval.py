@@ -64,12 +64,11 @@ def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
             RTL/GL simulation entirely).
         scheduler: optional
             :class:`~repro.exec.scheduler.ShardedFaultScheduler` for the
-            module-observability fault simulation (the signature fold is
-            sequential — its per-thread MISR state does not shard).  A
-            campaign-shared scheduler reuses its already-primed worker
-            pool here; evaluation simulates all of *fault_list*, never
-            the dropped remainder (under static pruning the pipeline
-            passes the testable list).
+            module-observability fault simulation (the signature fold
+            always runs inline).  A campaign-shared scheduler reuses its
+            already-primed worker pool here; evaluation simulates all of
+            *fault_list*, never the dropped remainder (under static
+            pruning the pipeline passes the testable list).
         incremental: optional
             :class:`~repro.exec.incremental.IncrementalFaultSim` — the
             module-observability simulation then restores unchanged-cone
@@ -97,7 +96,7 @@ def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
     simulator = FaultSimulator(module.netlist)
 
     if observability == "signature":
-        result, signature_detected = simulator.run_signature(
+        signature_detected = simulator.run_signature(
             patterns, fault_list, module.output_words["result"],
             report.thread_sequences())
         detected = {fault for fault, hit in zip(fault_list,

@@ -13,7 +13,7 @@ campaign scope):
 * After every run, :class:`IncrementalFaultSim` stores a **fault-state
   record** in the :class:`~repro.exec.cache.ArtifactCache`, keyed by
   (PTP name, module fingerprint, engine): per cone group (faults sharing
-  a seed net, as grouped by the event engine) the sorted support nets,
+  a seed net, the event engine's cone head) the sorted support nets,
   the list of *distinct support-restricted pattern values* seen, and per
   fault site a detection mask over that value list.
 * On the next run the current pattern set is projected onto each group's

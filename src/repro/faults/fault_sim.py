@@ -11,21 +11,30 @@ All patterns are simulated at once per fault: net values are packed integers
 (bit ``k`` = value under pattern ``k``), so a fault's full detection word
 costs one traversal of its fanout cone.
 
-Two propagation engines compute that traversal (``engine=`` argument):
+Each engine has one per-fault propagation step (``engine=`` argument picks
+it); the step returns the fault's faulty values and changed nets, or
+nothing when the fault is pruned or never excited, and keeps the ``stats``
+counters:
 
 * ``"event"`` (default, the production engine) — the event-driven
-  frontier of :mod:`repro.faults.propagate`: faults advance level by
-  level through a precomputed schedule and stop the moment the fault
-  effect dies out; faults are grouped by cone head so per-head setup is
-  shared.
+  frontier of :mod:`repro.faults.propagate`: a fault advances level by
+  level through a precomputed schedule and stops the moment its effect
+  dies out; a fault whose cone head cannot reach an observed net is
+  pruned before it is propagated.
 * ``"cone"`` — the reference oracle: the classic static cone walk visits
   every gate in the fault's transitive fanout, whether or not the effect
   is still alive.  The differential tests and the strict static-prune
   cross-check compare against it.
 
+Two observers read the step.  :meth:`FaultSimulator.run` ORs the
+differences on the module outputs into each fault's detection word.
+:meth:`FaultSimulator.run_signature` (signature-per-thread observability)
+folds the differences on the result bus through the MISR model at once
+and keeps only the fault's verdict, so no fault's diffs outlive it.
+
 Both engines are bit-identical (same detection words, first detections,
 and signature verdicts); the event engine only trims execution
-redundancy.  The ``stats`` counters (gates evaluated/visited/skipped,
+redundancy.  The ``stats`` counters (gates evaluated/skipped,
 inactive/pruned faults) make that redundancy observable.
 """
 
@@ -126,13 +135,11 @@ class FaultSimulator:
     Attributes:
         stats: cumulative propagation counters across every run of this
             simulator — ``gates_evaluated`` (gate evaluations during
-            propagation), ``gates_visited`` (gates touched at all:
-            equals evaluations for the event engine, the full static
-            cone for the cone engine), ``gates_skipped``
-            (static-cone gates the engine never touched),
+            propagation), ``gates_skipped`` (static-cone gates the event
+            engine never touched; 0 for the cone walk),
             ``faults_inactive`` (activation check failed),
             ``faults_pruned`` (event engine: cone head cannot reach any
-            observation point).
+            observed net).
     """
 
     def __init__(self, netlist, observed_outputs=None, engine="event"):
@@ -156,13 +163,16 @@ class FaultSimulator:
         self._gate_type = [g.gate_type for g in netlist.gates]
         self._gate_inputs = [g.inputs for g in netlist.gates]
         self._gate_output = [g.output for g in netlist.gates]
-        self._event = EventDrivenEngine(netlist) if engine == "event" else None
+        if engine == "event":
+            self._event = EventDrivenEngine(netlist)
+            self._step = self._step_event
+        else:
+            self._step = self._step_cone
         self._observed_targets = frozenset(self.observed)
         self._good_cache = (None, None, None)
         self._good_values_cache = (None, None, None)
-        self.stats = {"gates_evaluated": 0, "gates_visited": 0,
-                      "gates_skipped": 0, "faults_inactive": 0,
-                      "faults_pruned": 0}
+        self.stats = {"gates_evaluated": 0, "gates_skipped": 0,
+                      "faults_inactive": 0, "faults_pruned": 0}
 
     def _cone(self, net):
         cone = self._cone_cache.get(net)
@@ -209,77 +219,23 @@ class FaultSimulator:
             return FaultSimResult(fault_list, 0, empty,
                                   [None] * len(fault_list))
         mask = patterns.mask
-        good = self.good_values(patterns)
-        observed_set = set(self.observed)
-
-        if self.engine == "event":
-            detection_words = self._run_event(fault_list, good, mask,
-                                              observed_set)
-        else:
-            detection_words = [
-                self._fault_effects_cone(fault, good, mask, observed_set,
-                                         ())[0]
-                for fault in fault_list]
+        good = self._good_as_list(self.good_values(patterns))
+        observed = self._observed_targets
+        step = self._step
+        detection_words = []
+        for fault in fault_list:
+            word = 0
+            effect = step(fault, good, mask, observed)
+            if effect is not None:
+                faulty, changed = effect
+                for net in changed:
+                    if net in observed:
+                        word |= faulty[net] ^ good[net]
+            detection_words.append(word)
         first_detection = [(word & -word).bit_length() - 1 if word else None
                            for word in detection_words]
         return FaultSimResult(fault_list, patterns.count, detection_words,
                               first_detection)
-
-    def _run_event(self, fault_list, good, mask, observed_set):
-        """Event-driven detection words for *fault_list*, grouped by cone
-        head so per-head setup (activation good word, observability reach,
-        static cone size) is computed once per group."""
-        engine = self._event
-        schedule = engine.schedule
-        good_list = self._good_as_list(good)
-        reach = schedule.reach_from(self._observed_targets)
-        stats = self.stats
-        gate_output = schedule.gate_output
-
-        groups = {}
-        for index, fault in enumerate(fault_list):
-            seed = (fault.net if fault.pin == OUTPUT_PIN
-                    else gate_output[fault.gate])
-            entry = groups.get(seed)
-            if entry is None:
-                groups[seed] = [(index, fault)]
-            else:
-                entry.append((index, fault))
-
-        words = [0] * len(fault_list)
-        for seed, members in groups.items():
-            if not reach[seed]:
-                # No observation point in this head's cone: every member
-                # is undetectable, whatever its activation.
-                stats["faults_pruned"] += len(members)
-                stats["gates_skipped"] += (schedule.cone_size(seed)
-                                           * len(members))
-                continue
-            good_seed = good_list[seed]
-            cone = schedule.cone_size(seed)
-            for index, fault in members:
-                if fault.pin == OUTPUT_PIN:
-                    seed_value = mask if fault.stuck_at else 0
-                    if seed_value == good_seed:
-                        stats["faults_inactive"] += 1
-                        continue
-                else:
-                    seed_value = engine.seed_value(fault, good_list, mask)
-                    if seed_value is None:
-                        stats["faults_inactive"] += 1
-                        continue
-                faulty, changed = engine.advance(seed, seed_value,
-                                                 good_list, mask)
-                evaluated = engine.last_evaluated
-                stats["gates_evaluated"] += evaluated
-                stats["gates_visited"] += evaluated
-                stats["gates_skipped"] += cone - evaluated
-                word = 0
-                for net in changed:
-                    if net in observed_set:
-                        word |= faulty[net] ^ good_list[net]
-                words[index] = word
-        return words
 
     def run_signature(self, patterns, fault_list, result_word,
                       thread_sequences, misr_width=None):
@@ -291,7 +247,8 @@ class FaultSimulator:
         XOR linearity the final-signature difference is the rotation-fold
         of the per-step result differences).  Faults whose differences
         cancel in the fold *alias* and go undetected — the mechanism behind
-        the paper's SP-core FC deltas.
+        the paper's SP-core FC deltas.  Each fault is folded as soon as it
+        is propagated; only its verdict is kept.
 
         Args:
             patterns: the PTP's pattern set, in application order.
@@ -302,14 +259,11 @@ class FaultSimulator:
             misr_width: signature width (default: len(result_word)).
 
         Returns:
-            (result, signature_detected): the module-output
-            :class:`FaultSimResult` plus a per-fault bool list of SpT
-            detectability.
+            A per-fault bool list of SpT detectability.
         """
         width = misr_width or len(result_word)
         mask = patterns.mask
-        good = self.good_values(patterns)
-        observed_set = set(self.observed)
+        good = self._good_as_list(self.good_values(patterns))
 
         # The MISR masks every folded result to `width` bits
         # (``misr_update``): result-bus bits at positions >= width never
@@ -318,12 +272,15 @@ class FaultSimulator:
         # ``i >= width`` escape ``word_mask`` on the rotation-0 path and
         # produced spurious SpT detections.)
         fold_word = result_word[:width]
+        fold_bits = {}
+        for i, net in enumerate(fold_word):
+            fold_bits.setdefault(net, []).append(i)
+        targets = frozenset(fold_word)
 
         # Per-thread rotation-class masks: pattern at position p of an
         # n-long sequence is rotated by (n - 1 - p) mod width in the fold.
-        class_masks = {}
-        thread_masks = {}
-        for key, sequence in thread_sequences.items():
+        threads = []
+        for sequence in thread_sequences.values():
             classes = [0] * width
             total = 0
             n = len(sequence)
@@ -331,101 +288,55 @@ class FaultSimulator:
                 rotation = (n - 1 - position) % width
                 classes[rotation] |= 1 << k
                 total |= 1 << k
-            class_masks[key] = classes
-            thread_masks[key] = total
+            threads.append((total, classes))
 
-        if self.engine == "event":
-            targets = self._observed_targets | frozenset(fold_word)
-            effects = [self._fault_effects_event(fault, good, mask,
-                                                 observed_set, fold_word,
-                                                 targets)
-                       for fault in fault_list]
-        else:
-            effects = [self._fault_effects_cone(fault, good, mask,
-                                                observed_set, fold_word)
-                       for fault in fault_list]
-
-        word_mask = (1 << width) - 1
-        detection_words = []
-        first_detection = []
+        step = self._step
         signature_detected = []
-        for word, diffs in effects:
-            detection_words.append(word)
-            first_detection.append((word & -word).bit_length() - 1
-                                   if word else None)
-            detected = False
-            if diffs:
-                union = 0
-                for __, diff in diffs:
-                    union |= diff
-                for key, classes in class_masks.items():
-                    if union & thread_masks[key] == 0:
-                        continue
-                    total = 0
-                    for rotation in range(width):
-                        class_mask = classes[rotation]
-                        if class_mask == 0 or union & class_mask == 0:
-                            continue
-                        value = 0
-                        for i, diff in diffs:
-                            overlap = diff & class_mask
-                            if overlap and _parity(overlap):
-                                value |= 1 << i
-                        if value:
-                            rotated = ((value << rotation) |
-                                       (value >> (width - rotation))
-                                       ) & word_mask if rotation else value
-                            total ^= rotated
-                    if total:
-                        detected = True
-                        break
-            signature_detected.append(detected)
-        result = FaultSimResult(fault_list, patterns.count, detection_words,
-                                first_detection)
-        return result, signature_detected
+        for fault in fault_list:
+            diffs = []
+            effect = step(fault, good, mask, targets)
+            if effect is not None:
+                faulty, changed = effect
+                for net in changed:
+                    bits = fold_bits.get(net)
+                    if bits is not None:
+                        diff = faulty[net] ^ good[net]
+                        diffs.extend((i, diff) for i in bits)
+            signature_detected.append(
+                bool(diffs) and _misr_detects(diffs, threads, width))
+        return signature_detected
 
     # -- single-fault propagation ------------------------------------------
+    #
+    # One step per engine: ``_step(fault, good, mask, targets)`` returns
+    # ``(faulty, changed)`` — the faulty values, indexable by every net in
+    # ``changed`` — or None when the fault is pruned or never excited.  It
+    # keeps the ``stats`` counters.
 
-    def _fault_effects_cone(self, fault, good, mask, observed_set,
-                            fold_word):
-        """(detection word, result-bus diffs) via the cone walk."""
-        changed = self._propagate_fault(fault, good, mask)
-        word = 0
-        for net, value in changed.items():
-            if net in observed_set:
-                word |= value ^ good[net]
-        diffs = [(i, changed[net] ^ good[net])
-                 for i, net in enumerate(fold_word) if net in changed]
-        return word, diffs
-
-    def _fault_effects_event(self, fault, good, mask, observed_set,
-                             fold_word, targets):
-        """(detection word, result-bus diffs) via the event engine."""
+    def _step_event(self, fault, good, mask, targets):
+        """Event-engine step: prune heads whose cone reaches none of
+        *targets*, then advance the frontier."""
         engine = self._event
         schedule = engine.schedule
-        good_list = self._good_as_list(good)
         stats = self.stats
         seed = schedule.seed_net(fault)
         if not schedule.reach_from(targets)[seed]:
             stats["faults_pruned"] += 1
             stats["gates_skipped"] += schedule.cone_size(seed)
-            return 0, []
-        faulty, changed = engine.propagate(fault, good_list, mask)
+            return None
+        faulty, changed = engine.propagate(fault, good, mask)
         if changed is None:
             stats["faults_inactive"] += 1
-            return 0, []
+            return None
         evaluated = engine.last_evaluated
         stats["gates_evaluated"] += evaluated
-        stats["gates_visited"] += evaluated
         stats["gates_skipped"] += schedule.cone_size(seed) - evaluated
-        word = 0
-        for net in changed:
-            if net in observed_set:
-                word |= faulty[net] ^ good_list[net]
-        diffs = [(i, faulty[net] ^ good_list[net])
-                 for i, net in enumerate(fold_word)
-                 if faulty[net] != good_list[net]]
-        return word, diffs
+        return faulty, changed
+
+    def _step_cone(self, fault, good, mask, targets):
+        """Cone-walk step: the whole static cone, whatever *targets*."""
+        changed = self._propagate_fault(fault, good, mask)
+        return (changed, changed) if changed else None
 
     def _propagate_fault(self, fault, good, mask):
         """Cone-walk propagation: visit every gate of *fault*'s static
@@ -477,10 +388,39 @@ class FaultSimulator:
             elif out_net in changed:
                 del changed[out_net]
         stats["gates_evaluated"] += evaluated
-        stats["gates_visited"] += len(cone)
         return changed
 
 
-def _parity(value):
-    """Parity (XOR reduction) of the set bits of *value*."""
-    return value.bit_count() & 1
+def _misr_detects(diffs, threads, width):
+    """Does one fault's result-bus difference survive the MISR fold?
+
+    *diffs* holds ``(result bit, per-pattern diff word)`` pairs; *threads*
+    holds each thread's ``(pattern mask, rotation-class masks)``.  By XOR
+    linearity a thread's signature difference is the XOR over rotation
+    classes of the rotated parity of the class's diff bits.
+    """
+    word_mask = (1 << width) - 1
+    union = 0
+    for __, diff in diffs:
+        union |= diff
+    for thread_mask, classes in threads:
+        if union & thread_mask == 0:
+            continue
+        total = 0
+        for rotation in range(width):
+            class_mask = classes[rotation]
+            if class_mask == 0 or union & class_mask == 0:
+                continue
+            value = 0
+            for i, diff in diffs:
+                overlap = diff & class_mask
+                if overlap and overlap.bit_count() & 1:
+                    value |= 1 << i
+            if value:
+                rotated = ((value << rotation) |
+                           (value >> (width - rotation))
+                           ) & word_mask if rotation else value
+                total ^= rotated
+        if total:
+            return True
+    return False

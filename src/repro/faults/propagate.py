@@ -107,10 +107,8 @@ class PropagationSchedule:
                 fanout[net].append(gate.index)
         self.fanout = [tuple(readers) for readers in fanout]
         self._reach = {}       # frozenset(targets) -> per-net bool list
-        self._cone_size = {}   # net -> gates in its static fanout cone
+        self._cone_sizes = None  # net -> gates in its static fanout cone
         self._support = {}     # seed net -> frozenset of supporting PIs
-        self._driver = None    # net -> driving gate index (lazy)
-        self._inputs = None    # frozenset of primary-input nets (lazy)
         self._pi_mask = None   # net -> bitmask over PI slots (lazy DP)
         self._pi_list = None   # PI slot -> net index
 
@@ -142,12 +140,6 @@ class PropagationSchedule:
                         reach[net] = True
             self._reach[targets] = reach
         return reach
-
-    def _driver_map(self):
-        if self._driver is None:
-            self._driver = {out: index
-                            for index, out in enumerate(self.gate_output)}
-        return self._driver
 
     def _pi_masks(self):
         """Per-net bitmask over PI slots: bit *i* set when ``_pi_list[i]``
@@ -218,23 +210,21 @@ class PropagationSchedule:
         return support
 
     def cone_size(self, net):
-        """Number of gates in the static transitive fanout of *net*
-        (what the cone walk would visit); cached per net."""
-        size = self._cone_size.get(net)
-        if size is None:
-            seen = set()
-            frontier = [net]
-            fanout = self.fanout
+        """Number of gates in the static transitive fanout of *net* (what
+        the cone walk would visit).  The sizes of all nets come from one
+        reverse-topological bitset pass on first use: a net's cone is the
+        union, over the gates reading it, of the gate and its output's
+        cone."""
+        if self._cone_sizes is None:
+            cones = [0] * self.netlist.num_nets
+            gate_inputs = self.gate_inputs
             gate_output = self.gate_output
-            while frontier:
-                current = frontier.pop()
-                for gate in fanout[current]:
-                    if gate not in seen:
-                        seen.add(gate)
-                        frontier.append(gate_output[gate])
-            size = len(seen)
-            self._cone_size[net] = size
-        return size
+            for gate in range(len(gate_output) - 1, -1, -1):
+                cone = cones[gate_output[gate]] | 1 << gate
+                for input_net in gate_inputs[gate]:
+                    cones[input_net] |= cone
+            self._cone_sizes = [bin(cone).count("1") for cone in cones]
+        return self._cone_sizes[net]
 
 
 class EventDrivenEngine:

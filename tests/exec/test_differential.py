@@ -148,8 +148,7 @@ def test_signature_verdicts_match_across_engines_with_pooled_module_run(
         pools, seed):
     """SpT verdicts are engine-independent, and the module-observability
     view of the same workload through the pool matches them too (the
-    signature fold itself is sequential by design — per-thread MISR state
-    does not shard)."""
+    signature fold itself always runs inline)."""
     rng = random.Random(seed)
     nl = _random_netlist(rng)
     count = rng.randrange(2, 10)
@@ -158,14 +157,16 @@ def test_signature_verdicts_match_across_engines_with_pooled_module_run(
     result_word = list(dict.fromkeys(nl.outputs))
     sequences = {"t0": list(range(count))}
 
-    cone_result, cone_verdicts = FaultSimulator(
-        nl, engine="cone").run_signature(patterns, fault_list, result_word,
+    cone = FaultSimulator(nl, engine="cone")
+    event = FaultSimulator(nl, engine="event")
+    cone_verdicts = cone.run_signature(patterns, fault_list, result_word,
+                                       sequences)
+    event_verdicts = event.run_signature(patterns, fault_list, result_word,
                                          sequences)
-    event_result, event_verdicts = FaultSimulator(
-        nl, engine="event").run_signature(patterns, fault_list,
-                                          result_word, sequences)
     assert event_verdicts == cone_verdicts
-    assert event_result.detection_words == cone_result.detection_words
+    cone_result = cone.run(patterns, fault_list)
+    assert (event.run(patterns, fault_list).detection_words
+            == cone_result.detection_words)
 
     simulator = FaultSimulator(nl, engine="event")
     pooled = _pooled_run(pools[4], simulator, patterns, fault_list)

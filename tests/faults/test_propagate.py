@@ -93,15 +93,15 @@ def test_event_signature_verdicts_match_cone(seed):
     misr_width = rng.choice([None, max(1, len(result_word) - 1)])
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
     event, cone = _pair(nl)
-    ev_result, ev_sig = event.run_signature(patterns, fault_list,
-                                            result_word, sequences,
-                                            misr_width=misr_width)
-    cw_result, cw_sig = cone.run_signature(patterns, fault_list,
-                                           result_word, sequences,
-                                           misr_width=misr_width)
+    ev_sig = event.run_signature(patterns, fault_list, result_word,
+                                 sequences, misr_width=misr_width)
+    cw_sig = cone.run_signature(patterns, fault_list, result_word,
+                                sequences, misr_width=misr_width)
+    assert ev_sig == cw_sig
+    ev_result = event.run(patterns, fault_list)
+    cw_result = cone.run(patterns, fault_list)
     assert ev_result.detection_words == cw_result.detection_words
     assert ev_result.first_detection == cw_result.first_detection
-    assert ev_sig == cw_sig
 
 
 # -- schedule structure ------------------------------------------------------
@@ -219,9 +219,7 @@ def test_event_stats_report_skipped_gates_and_cone_reports_none():
     # The static cone of `a` holds 5 gates; the frontier died after 1.
     assert event.stats["gates_evaluated"] == 1
     assert event.stats["gates_skipped"] == 4
-    assert event.stats["gates_visited"] == 1
     assert cone.stats["gates_skipped"] == 0
-    assert cone.stats["gates_visited"] == 5
     assert cone.stats["gates_evaluated"] == 1
 
 
@@ -256,8 +254,8 @@ def test_unknown_engine_is_rejected():
 
 
 def test_fault_grouping_keeps_fault_list_order():
-    # Faults sharing a cone head are grouped for setup, but the detection
-    # words must land at their original fault-list positions.
+    # Faults sharing a cone head, interleaved with another head's, keep
+    # their detection words at their original fault-list positions.
     nl = Netlist("group")
     a = nl.add_input()
     b = nl.add_input()

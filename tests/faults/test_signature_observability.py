@@ -36,12 +36,11 @@ def test_signature_detection_matches_brute_force():
                  for t in range(2)}
     fault_list = FaultList(nl)
     simulator = FaultSimulator(nl)
-    result, signature_detected = simulator.run_signature(
+    signature_detected = simulator.run_signature(
         patterns, fault_list, out, sequences)
 
     good = LogicSimulator(nl).run(patterns)
-    for fault, word, sig_hit in zip(fault_list, result.detection_words,
-                                    signature_detected):
+    for fault, sig_hit in zip(fault_list, signature_detected):
         # Brute force: rebuild each thread's good and corrupted result
         # sequences from the propagated fault effects and fold both
         # through the software MISR model.
@@ -88,10 +87,12 @@ def test_engineered_aliasing_case():
 
     fault = StuckAtFault(a[0], None, OUTPUT_PIN, 0)
     fault_list = FaultList(nl, [fault])
-    result, signature_detected = FaultSimulator(nl).run_signature(
+    simulator = FaultSimulator(nl)
+    signature_detected = simulator.run_signature(
         patterns, fault_list, out, sequences, misr_width=width)
     # Module-output observability sees it (twice), ...
-    assert result.detection_words[0] == 0b0001_0001
+    assert simulator.run(patterns, fault_list).detection_words[0] \
+        == 0b0001_0001
     # ... but the two equal diffs rotate onto each other and cancel:
     # positions 0 and 4, rotations (8-1-0)%4 == (8-1-4)%4 == 3.
     assert signature_detected[0] is False
@@ -119,14 +120,16 @@ def test_truncated_misr_ignores_result_bits_beyond_width():
     fault = StuckAtFault(a[3], None, OUTPUT_PIN, 0)  # flips bit 3 only
     for engine in ("event", "cone"):
         simulator = FaultSimulator(nl, engine=engine)
-        result, signature_detected = simulator.run_signature(
-            patterns, FaultList(nl, [fault]), out, sequences, misr_width=2)
+        fault_list = FaultList(nl, [fault])
+        signature_detected = simulator.run_signature(
+            patterns, fault_list, out, sequences, misr_width=2)
         # Module outputs see the flip; the 2-bit signature cannot.
-        assert result.detection_words == [0b10], engine
+        assert simulator.run(patterns, fault_list).detection_words \
+            == [0b10], engine
         assert signature_detected == [False], engine
     # Same fault on a bit the truncated MISR does cover is detected.
     low_fault = StuckAtFault(a[0], None, OUTPUT_PIN, 1)
-    __, detected = FaultSimulator(nl).run_signature(
+    detected = FaultSimulator(nl).run_signature(
         patterns, FaultList(nl, [low_fault]), out, sequences, misr_width=2)
     assert detected == [True]
 
@@ -150,7 +153,7 @@ def test_truncated_misr_matches_brute_force_on_both_engines():
     reference = FaultSimulator(nl, engine="cone")
     for engine in ("event", "cone"):
         simulator = FaultSimulator(nl, engine=engine)
-        __, signature_detected = simulator.run_signature(
+        signature_detected = simulator.run_signature(
             patterns, fault_list, out, sequences, misr_width=misr_width)
         for fault, sig_hit in zip(fault_list, signature_detected):
             changed = reference._propagate_fault(fault, good, patterns.mask)
@@ -181,8 +184,35 @@ def test_unexcited_fault_is_sig_undetected():
     from repro.faults import OUTPUT_PIN, StuckAtFault
 
     fault = StuckAtFault(a[0], None, OUTPUT_PIN, 1)  # already 1: no effect
-    result, signature_detected = FaultSimulator(nl).run_signature(
-        patterns, FaultList(nl, [fault]), out, {(0, 0): [0]},
-        misr_width=width)
-    assert result.detection_words == [0]
+    fault_list = FaultList(nl, [fault])
+    simulator = FaultSimulator(nl)
+    signature_detected = simulator.run_signature(
+        patterns, fault_list, out, {(0, 0): [0]}, misr_width=width)
+    assert simulator.run(patterns, fault_list).detection_words == [0]
     assert signature_detected == [False]
+
+
+def test_fold_prunes_faults_that_reach_only_unfolded_outputs():
+    """The fold observes the result bus only: a fault whose cone reaches
+    another output but no folded net is pruned before propagation, while
+    module-output observability still detects it."""
+    nl = Netlist("fold_reach")
+    a = nl.add_input()
+    result = nl.add_gate(GateType.NOT, a)
+    side = nl.add_gate(GateType.BUF, nl.add_gate(GateType.BUF, a))
+    nl.mark_output(result)
+    nl.mark_output(side)
+    nl.finalize()
+    patterns = PatternSet(nl)
+    patterns.add({a: 0})
+    patterns.add({a: 1})
+    from repro.faults import OUTPUT_PIN, StuckAtFault
+
+    side_head = nl.gates[1].output
+    fault_list = FaultList(nl, [StuckAtFault(side_head, 1, OUTPUT_PIN, 1)])
+    simulator = FaultSimulator(nl)
+    assert simulator.run_signature(patterns, fault_list, [result],
+                                   {(0, 0): [0, 1]}) == [False]
+    assert simulator.stats["faults_pruned"] == 1
+    assert simulator.stats["gates_evaluated"] == 0
+    assert simulator.run(patterns, fault_list).detection_words == [0b01]
