@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ReportError
+from ..errors import NetlistError, ReportError
 from ..gpu.stimuli import StimulusRecord
 from ..netlist.simulator import PatternSet
 
@@ -38,13 +38,37 @@ class PatternReport:
         return len(self.records)
 
     def to_pattern_set(self):
-        """Build the netlist :class:`PatternSet` (one pattern per record)."""
-        patterns = PatternSet(self.module.netlist)
+        """Build the netlist :class:`PatternSet` (one pattern per record).
+
+        The records are transposed into one column of values per port and
+        packed at once by :meth:`PatternSet.from_columns`; a port a record
+        does not list is 0 in that pattern.
+
+        Raises:
+            NetlistError: a record lists one port twice, or a value does
+                not fit its port (see :meth:`PatternSet.add_words`).
+        """
+        count = len(self.records)
+        columns = {}
+        for k, record in enumerate(self.records):
+            for port, value in record.values:
+                column = columns.get(port)
+                if column is None:
+                    column = columns[port] = [None] * count
+                elif column[k] is not None:
+                    raise NetlistError(
+                        "port {!r} is assigned twice in pattern {}".format(
+                            port, k))
+                column[k] = value
+        for column in columns.values():
+            if None in column:
+                column[:] = [0 if value is None else value
+                             for value in column]
         words = self.module.input_words
-        for record in self.records:
-            patterns.add_words([(words[port], value)
-                                for port, value in record.values])
-        return patterns
+        return PatternSet.from_columns(
+            self.module.netlist,
+            [(words[port], column) for port, column in columns.items()],
+            count)
 
     def reversed(self):
         """Pattern report with application order reversed (the paper

@@ -173,6 +173,9 @@ class ArtifactCache:
 
     def put(self, key, payload):
         """Store *payload* (JSON-serializable) under *key* atomically."""
+        # One C-encoded string: json.dump would stream the payload through
+        # the pure-Python iterencode.  The bytes are the same either way.
+        text = json.dumps(payload, separators=(",", ":"))
         path = self._path_of(key)
         directory = os.path.dirname(path)
         try:
@@ -185,7 +188,7 @@ class ArtifactCache:
                              .format(self.directory, exc)) from exc
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                handle.write(text)
             os.replace(temp_path, path)
         except BaseException:
             try:

@@ -475,7 +475,7 @@ def run_atpg(module, seed=0, random_patterns=256, random_batch=32,
     rng = random.Random(seed)
     simulator = FaultSimulator(netlist)
 
-    patterns = PatternSet(netlist)
+    assignments = []   # emitted patterns, {input net: 0/1} each
     pattern_faults = []
     remaining = fault_list
     detected = []
@@ -484,16 +484,15 @@ def run_atpg(module, seed=0, random_patterns=256, random_batch=32,
     while emitted < random_patterns and len(remaining):
         batch = PatternSet(netlist)
         for __ in range(min(random_batch, random_patterns - emitted)):
-            batch.add({net: rng.getrandbits(1) for net in netlist.inputs})
+            assignments.append({net: rng.getrandbits(1)
+                                for net in netlist.inputs})
+            batch.add(assignments[-1])
         result = simulator.run(batch, remaining)
         newly = {}
         for fault, first in zip(result.fault_list, result.first_detection):
             if first is not None:
                 newly.setdefault(first, []).append(fault)
-        for k in range(batch.count):
-            patterns.add({net: batch.value_of(net, k)
-                          for net in netlist.inputs})
-            pattern_faults.append(newly.get(k, []))
+        pattern_faults.extend(newly.get(k, []) for k in range(batch.count))
         dropped = [f for group in newly.values() for f in group]
         detected.extend(dropped)
         remaining = remaining.without(dropped)
@@ -536,11 +535,16 @@ def run_atpg(module, seed=0, random_patterns=256, random_batch=32,
         if fault not in confirmed:
             aborted.append(fault)
             continue
-        patterns.add(assignment)
+        assignments.append(assignment)
         pattern_faults.append(confirmed)
         detected.extend(confirmed)
         alive.difference_update(confirmed)
 
+    patterns = PatternSet.from_columns(
+        netlist,
+        [([net], [assignment[net] for assignment in assignments])
+         for net in netlist.inputs],
+        len(assignments))
     return AtpgResult(patterns=patterns, pattern_faults=pattern_faults,
                       detected=detected, untestable=untestable,
                       aborted=aborted, proofs=proofs)

@@ -12,9 +12,10 @@ All patterns are simulated at once per fault: net values are packed integers
 costs one traversal of its fanout cone.
 
 Each engine has one per-fault propagation step (``engine=`` argument picks
-it); the step returns the fault's faulty values and changed nets, or
-nothing when the fault is pruned or never excited, and keeps the ``stats``
-counters:
+it), in two parts: a reach prune against the observer's nets, and the
+effect over one pattern set, which returns the fault's faulty values and
+changed nets, or nothing when no pattern excites the fault.  The two parts
+keep the ``stats`` counters:
 
 * ``"event"`` (default, the production engine) — the event-driven
   frontier of :mod:`repro.faults.propagate`: a fault advances level by
@@ -29,8 +30,11 @@ counters:
 Two observers read the step.  :meth:`FaultSimulator.run` ORs the
 differences on the module outputs into each fault's detection word.
 :meth:`FaultSimulator.run_signature` (signature-per-thread observability)
-folds the differences on the result bus through the MISR model at once
-and keeps only the fault's verdict, so no fault's diffs outlive it.
+splits the patterns into one sequence-ordered set per thread, then
+propagates each fault thread by thread, folds the differences on the
+result bus through that thread's MISR model, and stops at the first
+thread whose signature differs; it keeps only the fault's verdict, so no
+fault's diffs outlive it.
 
 Both engines are bit-identical (same detection words, first detections,
 and signature verdicts); the event engine only trims execution
@@ -136,10 +140,12 @@ class FaultSimulator:
         stats: cumulative propagation counters across every run of this
             simulator — ``gates_evaluated`` (gate evaluations during
             propagation), ``gates_skipped`` (static-cone gates the event
-            engine never touched; 0 for the cone walk),
-            ``faults_inactive`` (activation check failed),
-            ``faults_pruned`` (event engine: cone head cannot reach any
-            observed net).
+            engine never touched; 0 for the cone walk); both count per
+            propagation, which :meth:`run_signature` makes once per
+            fault and visited thread.  ``faults_inactive`` (no simulated
+            pattern excites the fault) and ``faults_pruned`` (event
+            engine: cone head cannot reach any observed net) count once
+            per fault and run.
     """
 
     def __init__(self, netlist, observed_outputs=None, engine="event"):
@@ -165,9 +171,11 @@ class FaultSimulator:
         self._gate_output = [g.output for g in netlist.gates]
         if engine == "event":
             self._event = EventDrivenEngine(netlist)
-            self._step = self._step_event
+            self._pruned = self._pruned_event
+            self._effect = self._effect_event
         else:
-            self._step = self._step_cone
+            self._pruned = _never_pruned
+            self._effect = self._effect_cone
         self._observed_targets = frozenset(self.observed)
         self._good_cache = (None, None, None)
         self._good_values_cache = (None, None, None)
@@ -187,11 +195,16 @@ class FaultSimulator:
         faults, and a same-identity dict that gained entries is stale)."""
         cached_good, cached_len, cached_list = self._good_cache
         if cached_good is not good or cached_len != len(good):
-            cached_list = [0] * self.netlist.num_nets
-            for net, value in good.items():
-                cached_list[net] = value
+            cached_list = self._net_list(good)
             self._good_cache = (good, len(good), cached_list)
         return cached_list
+
+    def _net_list(self, values):
+        """Net-indexed list of a {net: packed value} dict."""
+        net_list = [0] * self.netlist.num_nets
+        for net, value in values.items():
+            net_list[net] = value
+        return net_list
 
     def good_values(self, patterns):
         """Good-machine net values for *patterns*, memoized on the pattern
@@ -221,16 +234,20 @@ class FaultSimulator:
         mask = patterns.mask
         good = self._good_as_list(self.good_values(patterns))
         observed = self._observed_targets
-        step = self._step
+        pruned, effect_of = self._pruned, self._effect
+        stats = self.stats
         detection_words = []
         for fault in fault_list:
             word = 0
-            effect = step(fault, good, mask, observed)
-            if effect is not None:
-                faulty, changed = effect
-                for net in changed:
-                    if net in observed:
-                        word |= faulty[net] ^ good[net]
+            if not pruned(fault, observed):
+                effect = effect_of(fault, good, mask)
+                if effect is None:
+                    stats["faults_inactive"] += 1
+                else:
+                    faulty, changed = effect
+                    for net in changed:
+                        if net in observed:
+                            word |= faulty[net] ^ good[net]
             detection_words.append(word)
         first_detection = [(word & -word).bit_length() - 1 if word else None
                            for word in detection_words]
@@ -247,8 +264,15 @@ class FaultSimulator:
         XOR linearity the final-signature difference is the rotation-fold
         of the per-step result differences).  Faults whose differences
         cancel in the fold *alias* and go undetected — the mechanism behind
-        the paper's SP-core FC deltas.  Each fault is folded as soon as it
-        is propagated; only its verdict is kept.
+        the paper's SP-core FC deltas.
+
+        Each thread's signature depends only on that thread's patterns, and
+        single-stuck-at patterns of a combinational module are independent.
+        So the pattern set is split once into one sequence-ordered set per
+        thread, with its own good-machine values, and each fault is
+        propagated and folded thread by thread until the first thread whose
+        signature differs.  A fault is reach-pruned once, before its first
+        thread; patterns that belong to no thread are never simulated.
 
         Args:
             patterns: the PTP's pattern set, in application order.
@@ -260,10 +284,11 @@ class FaultSimulator:
 
         Returns:
             A per-fault bool list of SpT detectability.
+
+        Raises:
+            IndexError: a sequence holds an index outside *patterns*.
         """
         width = misr_width or len(result_word)
-        mask = patterns.mask
-        good = self._good_as_list(self.good_values(patterns))
 
         # The MISR masks every folded result to `width` bits
         # (``misr_update``): result-bus bits at positions >= width never
@@ -277,64 +302,79 @@ class FaultSimulator:
             fold_bits.setdefault(net, []).append(i)
         targets = frozenset(fold_word)
 
-        # Per-thread rotation-class masks: pattern at position p of an
-        # n-long sequence is rotated by (n - 1 - p) mod width in the fold.
+        # Per thread: its patterns in sequence order, their good values,
+        # and the rotation-class masks over those positions (position p of
+        # an n-long sequence is rotated by (n - 1 - p) mod width).
         threads = []
         for sequence in thread_sequences.values():
-            classes = [0] * width
-            total = 0
-            n = len(sequence)
-            for position, k in enumerate(sequence):
-                rotation = (n - 1 - position) % width
-                classes[rotation] |= 1 << k
-                total |= 1 << k
-            threads.append((total, classes))
+            if not sequence:
+                continue
+            thread_patterns = patterns.subset(sequence)
+            good = self._net_list(self._logic.run(thread_patterns))
+            threads.append((thread_patterns.mask, good,
+                            _rotation_classes(len(sequence), width)))
 
-        step = self._step
+        pruned, effect_of = self._pruned, self._effect
+        stats = self.stats
         signature_detected = []
         for fault in fault_list:
-            diffs = []
-            effect = step(fault, good, mask, targets)
-            if effect is not None:
-                faulty, changed = effect
-                for net in changed:
-                    bits = fold_bits.get(net)
-                    if bits is not None:
-                        diff = faulty[net] ^ good[net]
-                        diffs.extend((i, diff) for i in bits)
-            signature_detected.append(
-                bool(diffs) and _misr_detects(diffs, threads, width))
+            detected = False
+            if not pruned(fault, targets):
+                excited = False
+                for mask, good, classes in threads:
+                    effect = effect_of(fault, good, mask)
+                    if effect is None:
+                        continue
+                    excited = True
+                    faulty, changed = effect
+                    diffs = []
+                    for net in changed:
+                        bits = fold_bits.get(net)
+                        if bits is not None:
+                            diff = faulty[net] ^ good[net]
+                            diffs.extend((i, diff) for i in bits)
+                    if diffs and _misr_detects(diffs, classes, width):
+                        detected = True
+                        break
+                if not excited:
+                    stats["faults_inactive"] += 1
+            signature_detected.append(detected)
         return signature_detected
 
     # -- single-fault propagation ------------------------------------------
     #
-    # One step per engine: ``_step(fault, good, mask, targets)`` returns
-    # ``(faulty, changed)`` — the faulty values, indexable by every net in
-    # ``changed`` — or None when the fault is pruned or never excited.  It
-    # keeps the ``stats`` counters.
+    # Two parts per engine.  ``_pruned(fault, targets)`` is True (and
+    # counted) when the fault cannot reach any of *targets*.
+    # ``_effect(fault, good, mask)`` returns ``(faulty, changed)`` — the
+    # faulty values, indexable by every net in ``changed`` — or None when
+    # no pattern excites the fault; it keeps the gate counters.
 
-    def _step_event(self, fault, good, mask, targets):
-        """Event-engine step: prune heads whose cone reaches none of
-        *targets*, then advance the frontier."""
-        engine = self._event
-        schedule = engine.schedule
-        stats = self.stats
+    def _pruned_event(self, fault, targets):
+        """Event engine: does *fault*'s cone head reach none of *targets*?"""
+        schedule = self._event.schedule
         seed = schedule.seed_net(fault)
-        if not schedule.reach_from(targets)[seed]:
-            stats["faults_pruned"] += 1
-            stats["gates_skipped"] += schedule.cone_size(seed)
-            return None
+        if schedule.reach_from(targets)[seed]:
+            return False
+        self.stats["faults_pruned"] += 1
+        self.stats["gates_skipped"] += schedule.cone_size(seed)
+        return True
+
+    def _effect_event(self, fault, good, mask):
+        """Event engine: advance the frontier."""
+        engine = self._event
         faulty, changed = engine.propagate(fault, good, mask)
         if changed is None:
-            stats["faults_inactive"] += 1
             return None
         evaluated = engine.last_evaluated
+        stats = self.stats
         stats["gates_evaluated"] += evaluated
-        stats["gates_skipped"] += schedule.cone_size(seed) - evaluated
+        # changed[0] is the seed net: the frontier starts there.
+        stats["gates_skipped"] += engine.schedule.cone_size(
+            changed[0]) - evaluated
         return faulty, changed
 
-    def _step_cone(self, fault, good, mask, targets):
-        """Cone-walk step: the whole static cone, whatever *targets*."""
+    def _effect_cone(self, fault, good, mask):
+        """Cone walk: the whole static cone."""
         changed = self._propagate_fault(fault, good, mask)
         return (changed, changed) if changed else None
 
@@ -351,7 +391,6 @@ class FaultSimulator:
 
         if fault.pin == OUTPUT_PIN:
             if stuck_word == good[fault.net]:
-                stats["faults_inactive"] += 1
                 return changed
             changed[fault.net] = stuck_word
             cone = self._cone(fault.net)
@@ -364,7 +403,6 @@ class FaultSimulator:
             out = evaluate(gate_type[g], tuple(values), mask)
             out_net = gate_output[g]
             if out == good[out_net]:
-                stats["faults_inactive"] += 1
                 return changed
             changed[out_net] = out
             cone = self._cone(out_net)
@@ -391,36 +429,54 @@ class FaultSimulator:
         return changed
 
 
-def _misr_detects(diffs, threads, width):
-    """Does one fault's result-bus difference survive the MISR fold?
+def _bin_popcount(value):
+    """Set bits of a non-negative int on Pythons without
+    ``int.bit_count`` (added in 3.10)."""
+    return bin(value).count("1")
 
-    *diffs* holds ``(result bit, per-pattern diff word)`` pairs; *threads*
-    holds each thread's ``(pattern mask, rotation-class masks)``.  By XOR
-    linearity a thread's signature difference is the XOR over rotation
-    classes of the rotated parity of the class's diff bits.
+
+_popcount = getattr(int, "bit_count", _bin_popcount)
+
+
+def _never_pruned(fault, targets):
+    """The cone walk prunes nothing."""
+    return False
+
+
+def _rotation_classes(n, width):
+    """Rotation-class masks of an *n*-long thread sequence: class ``r``
+    holds the positions ``p`` with ``(n - 1 - p) % width == r``."""
+    every = int(("0" * (width - 1) + "1") * -(-n // width), 2)
+    positions = (1 << n) - 1
+    return [(every << ((n - 1 - r) % width)) & positions
+            for r in range(width)]
+
+
+def _misr_detects(diffs, classes, width):
+    """Does one fault's result-bus difference survive one thread's MISR
+    fold?
+
+    *diffs* holds ``(result bit, per-pattern diff word)`` pairs over the
+    thread's patterns; *classes* holds the thread's rotation-class masks.
+    By XOR linearity the thread's signature difference is the XOR over
+    rotation classes of the rotated parity of the class's diff bits.
     """
     word_mask = (1 << width) - 1
     union = 0
     for __, diff in diffs:
         union |= diff
-    for thread_mask, classes in threads:
-        if union & thread_mask == 0:
+    total = 0
+    for rotation, class_mask in enumerate(classes):
+        if union & class_mask == 0:
             continue
-        total = 0
-        for rotation in range(width):
-            class_mask = classes[rotation]
-            if class_mask == 0 or union & class_mask == 0:
-                continue
-            value = 0
-            for i, diff in diffs:
-                overlap = diff & class_mask
-                if overlap and overlap.bit_count() & 1:
-                    value |= 1 << i
-            if value:
-                rotated = ((value << rotation) |
-                           (value >> (width - rotation))
-                           ) & word_mask if rotation else value
-                total ^= rotated
-        if total:
-            return True
-    return False
+        value = 0
+        for i, diff in diffs:
+            overlap = diff & class_mask
+            if overlap and _popcount(overlap) & 1:
+                value |= 1 << i
+        if value:
+            rotated = ((value << rotation) |
+                       (value >> (width - rotation))
+                       ) & word_mask if rotation else value
+            total ^= rotated
+    return total != 0

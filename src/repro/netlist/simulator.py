@@ -4,9 +4,19 @@ Patterns are packed into arbitrary-precision Python integers: the value of a
 net is an int whose bit ``k`` is the net's logic level under pattern ``k``.
 One bitwise operation per gate simulates the entire pattern set, which makes
 whole-program gate-level simulation tractable in pure Python.
+
+Bulk packing goes through numpy bit rows: :meth:`PatternSet.from_columns`
+packs each input's column of pattern bits with ``np.packbits`` and reads
+it back with ``int.from_bytes``, and :meth:`PatternSet.subset` unpacks
+every input into a bit row, gathers the kept columns and packs them again.
+Both are linear in the number of patterns; appending patterns one at a
+time with :meth:`PatternSet.add` is not (each call touches every input's
+whole integer).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..errors import NetlistError
 from .gates import evaluate
@@ -36,6 +46,15 @@ def iter_set_bits(word):
         word ^= low
 
 
+_LIMB_MASK = (1 << 64) - 1
+
+
+def _pack_row(bits):
+    """Packed int of a row of 0/1 pattern bits (bit ``k`` = ``bits[k]``)."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
+
+
 class PatternSet:
     """A set of input assignments for a netlist.
 
@@ -57,6 +76,64 @@ class PatternSet:
         self.count = count
         self.version = 0
         self.packed = {net: 0 for net in netlist.inputs}
+
+    @classmethod
+    def from_columns(cls, netlist, columns, count):
+        """Build a set of *count* patterns column by column, in one pass.
+
+        Equivalent to calling :meth:`add_words` once per pattern ``k``
+        with ``[(word, values[k]) for word, values in columns]``, with the
+        same checks, but linear in *count*.
+
+        Args:
+            netlist: the netlist the patterns drive.
+            columns: iterable of ``(word, values)`` pairs: *word* is a list
+                of input net indices (LSB first), *values* the *count*
+                integers it takes, one per pattern.  Inputs no word names
+                are 0 in every pattern.
+            count: number of patterns.
+
+        Raises:
+            NetlistError: a word names a net that is not a primary input,
+                two words share a net, a column does not hold *count*
+                values, or a value is negative or has set bits at
+                positions >= ``len(word)``.
+        """
+        out = cls(netlist, count)
+        packed = out.packed
+        assigned = set()
+        for word, values in columns:
+            for net in word:
+                if net not in packed:
+                    raise NetlistError(
+                        "net {} is not a primary input".format(net))
+                if net in assigned:
+                    raise NetlistError(
+                        "net {} is assigned by more than one word in the "
+                        "same pattern".format(net))
+                assigned.add(net)
+            if len(values) != count:
+                raise NetlistError(
+                    "column of {} value(s) for {} pattern(s)".format(
+                        len(values), count))
+            if not count:
+                continue
+            low, high = min(values), max(values)
+            if low < 0:
+                raise NetlistError("word value {} is negative".format(low))
+            if high >> len(word):
+                raise NetlistError(
+                    "word value {:#x} does not fit the {}-net word (extra "
+                    "high bits would be dropped)".format(high, len(word)))
+            for base in range(0, len(word), 64):
+                limb = values if len(word) <= 64 else [
+                    (value >> base) & _LIMB_MASK for value in values]
+                limb = np.array(limb, dtype=np.uint64)
+                for i, net in enumerate(word[base:base + 64]):
+                    bits = ((limb >> np.uint64(i)) & np.uint64(1)).astype(
+                        np.uint8)
+                    packed[net] = _pack_row(bits)
+        return out
 
     @property
     def mask(self):
@@ -136,25 +213,28 @@ class PatternSet:
             IndexError: any index is negative or >= :attr:`count`.
         """
         indices = list(indices)
-        for index in indices:
-            if not 0 <= index < self.count:
-                raise IndexError(
-                    "pattern index {} out of range for {} pattern(s)".format(
-                        index, self.count))
-        # old index -> new bit positions (duplicates allowed), built once so
-        # each net repacks in O(set bits) instead of O(len(indices)).
-        positions = {}
-        for new_index, old_index in enumerate(indices):
-            positions.setdefault(old_index, []).append(new_index)
-        out = PatternSet(self.netlist)
+        out = PatternSet(self.netlist, len(indices))
+        if not indices:
+            return out
+        low, high = min(indices), max(indices)
+        if low < 0 or high >= self.count:
+            bad = low if low < 0 else high
+            raise IndexError(
+                "pattern index {} out of range for {} pattern(s)".format(
+                    bad, self.count))
+        # One bit row per input (unpack), the kept columns in order with
+        # duplicates (gather), one packed int per row again (pack).
+        nets = list(self.packed)
+        num_bytes = (self.count + 7) // 8
         mask = self.mask
-        for net, packed in self.packed.items():
-            repacked = 0
-            for old_index in iter_set_bits(packed & mask):
-                for new_index in positions.get(old_index, ()):
-                    repacked |= 1 << new_index
-            out.packed[net] = repacked
-        out.count = len(indices)
+        raw = b"".join((self.packed[net] & mask).to_bytes(num_bytes, "little")
+                       for net in nets)
+        rows = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(len(nets), num_bytes),
+            axis=1, count=self.count, bitorder="little")
+        kept = rows[:, np.array(indices, dtype=np.intp)]
+        for net, row in zip(nets, kept):
+            out.packed[net] = _pack_row(row)
         return out
 
     def reversed(self):

@@ -1,9 +1,16 @@
 """Pattern report (VCDE), fault-sim report, LPTP listing round trips."""
 
+import types
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.labeling import label_instructions
-from repro.core.patterns import parse_pattern_report, write_pattern_report
+from repro.core.patterns import (
+    PatternReport,
+    parse_pattern_report,
+    write_pattern_report,
+)
 from repro.core.reports import (
     parse_fault_sim_report,
     write_compaction_summary,
@@ -11,10 +18,12 @@ from repro.core.reports import (
     write_labeled_ptp,
 )
 from repro.core.tracing import run_logic_tracing
-from repro.errors import ReportError
+from repro.errors import NetlistError, ReportError
 from repro.faults import FaultList, FaultSimulator
 from repro.gpu.config import KernelConfig
+from repro.gpu.stimuli import StimulusRecord
 from repro.isa import assemble
+from repro.netlist import GateType, Netlist, PatternSet
 from repro.stl.ptp import ParallelTestProgram
 
 SOURCE = """
@@ -70,8 +79,6 @@ def test_vcde_rejects_wrong_module(artifacts, sp_module):
 
 
 def test_vcde_rejects_garbage():
-    import types
-
     fake = types.SimpleNamespace(name="decoder_unit", input_words={})
     with pytest.raises(ReportError):
         parse_pattern_report("not a report", fake)
@@ -130,3 +137,67 @@ def test_compaction_summary_mentions_single_fault_sim(du_module, gpu):
     assert "PTP IMM" in text
     assert "1 for the compaction itself" in text
     assert "FC:" in text
+
+
+def _ported_module():
+    """A module-like namespace: three ports of 1, 5 and 9 input nets."""
+    nl = Netlist("ports")
+    words = {"op": nl.add_inputs(1, "op"), "a": nl.add_inputs(5, "a"),
+             "b": nl.add_inputs(9, "b")}
+    nl.mark_output(nl.add_gate(GateType.XOR, words["a"][0], words["b"][0]))
+    nl.finalize()
+    return types.SimpleNamespace(name="ports", netlist=nl,
+                                 input_words=words)
+
+
+_WIDTHS = {"op": 1, "a": 5, "b": 9}
+
+
+@st.composite
+def _records_values(draw):
+    """Per-record ``(port, value)`` tuples over :func:`_ported_module`:
+    each record lists some ports once, and the whole set is sometimes
+    spoiled by one negative or too-wide value or one port listed twice."""
+    records = []
+    for __ in range(draw(st.integers(0, 30))):
+        ports = draw(st.lists(st.sampled_from(sorted(_WIDTHS)), unique=True))
+        records.append([(port, draw(st.integers(0, 2 ** _WIDTHS[port] - 1)))
+                        for port in ports])
+    spoil = draw(st.sampled_from([None, None, "negative", "wide", "twice"]))
+    listed = [k for k, values in enumerate(records) if values]
+    if spoil and listed:
+        k = draw(st.sampled_from(listed))
+        port, value = records[k][0]
+        if spoil == "negative":
+            records[k][0] = (port, -1)
+        elif spoil == "wide":
+            records[k][0] = (port, 2 ** _WIDTHS[port])
+        else:
+            records[k].append((port, value))
+    return records
+
+
+@given(_records_values())
+@settings(max_examples=80, deadline=None)
+def test_to_pattern_set_matches_per_record_add_words(records_values):
+    """The column-wise ``to_pattern_set`` packs what one ``add_words`` per
+    record packs, with missing ports 0, and raises NetlistError exactly
+    when that reference does (negative or too-wide value, a port listed
+    twice in one record)."""
+    module = _ported_module()
+    records = [StimulusRecord(cc=k, block=0, warp=0, lane=k % 4, pc=k,
+                              values=tuple(values), thread=k % 4)
+               for k, values in enumerate(records_values)]
+    report = PatternReport(module, records)
+    reference = PatternSet(module.netlist)
+    try:
+        for record in records:
+            reference.add_words([(module.input_words[port], value)
+                                 for port, value in record.values])
+    except NetlistError:
+        with pytest.raises(NetlistError):
+            report.to_pattern_set()
+        return
+    patterns = report.to_pattern_set()
+    assert patterns.count == reference.count == len(records)
+    assert patterns.packed == reference.packed

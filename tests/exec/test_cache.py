@@ -159,3 +159,28 @@ def test_entry_files_are_compact_json(cache, du_module):
     with open(cache._path_of(key)) as handle:
         payload = json.load(handle)
     assert set(payload) == {"cycles", "instructions", "trace", "patterns"}
+
+
+def test_entry_bytes_are_the_one_shot_dump_and_round_trip(cache):
+    """``put`` writes ``json.dumps(payload, separators=(",", ":"))`` as
+    one string: the same bytes ``json.dump`` streamed, read back equal."""
+    key = "ef" + "2" * 62
+    payload = {"cycles": 7, "name": "IMM é", "rows": [[0, 1, 2**70]],
+               "nested": {"b": [True, None, 1.5], "a": "x"}}
+    cache.put(key, payload)
+    with open(cache._path_of(key), "rb") as handle:
+        raw = handle.read()
+    assert raw == json.dumps(payload, separators=(",", ":")).encode()
+    assert cache.get(key) == payload
+
+
+def test_unserializable_payload_leaves_no_entry(cache):
+    """The payload is serialized before any file is made, so a payload
+    that cannot be leaves neither an entry nor a temp file behind."""
+    key = "ef" + "3" * 62
+    with pytest.raises(TypeError):
+        cache.put(key, {"bad": object()})
+    assert not os.path.exists(cache._path_of(key))
+    assert [name for __, __d, files in os.walk(cache.directory)
+            for name in files] == []
+    assert cache.stats["puts"] == 0

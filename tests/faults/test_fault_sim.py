@@ -233,7 +233,7 @@ def test_detections_per_pattern_counts_sum_to_bitcounts():
                             detection_words=words,
                             first_detection=[0, 1, None, 3])
     counts = result.detections_per_pattern(dropping=False)
-    assert sum(counts) == sum(w.bit_count() for w in words)
+    assert sum(counts) == sum(bin(w).count("1") for w in words)
     # With dropping, each detected fault counts exactly once, at its first
     # detecting pattern.
     dropped = result.detections_per_pattern(dropping=True)

@@ -7,7 +7,11 @@ it through the software MISR model.
 
 import random
 
-from repro.faults import FaultList, FaultSimulator
+from hypothesis import given, settings, strategies as st
+
+from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
+from repro.faults.fault import enumerate_faults
+from repro.faults.fault_sim import _bin_popcount
 from repro.netlist import GateType, LogicSimulator, Netlist, PatternSet
 from repro.stl.signature import misr_fold
 
@@ -83,8 +87,6 @@ def test_engineered_aliasing_case():
     for value in stream:
         patterns.add_words([(a, value)])
     sequences = {(0, 0): list(range(len(stream)))}
-    from repro.faults import OUTPUT_PIN, StuckAtFault
-
     fault = StuckAtFault(a[0], None, OUTPUT_PIN, 0)
     fault_list = FaultList(nl, [fault])
     simulator = FaultSimulator(nl)
@@ -115,8 +117,6 @@ def test_truncated_misr_ignores_result_bits_beyond_width():
     patterns.add_words([(a, 0b0000)])
     patterns.add_words([(a, 0b1000)])
     sequences = {(0, 0): [0, 1]}
-    from repro.faults import OUTPUT_PIN, StuckAtFault
-
     fault = StuckAtFault(a[3], None, OUTPUT_PIN, 0)  # flips bit 3 only
     for engine in ("event", "cone"):
         simulator = FaultSimulator(nl, engine=engine)
@@ -181,8 +181,6 @@ def test_unexcited_fault_is_sig_undetected():
     nl, a, out = _identity_module(width)
     patterns = PatternSet(nl)
     patterns.add_words([(a, 0b0001)])
-    from repro.faults import OUTPUT_PIN, StuckAtFault
-
     fault = StuckAtFault(a[0], None, OUTPUT_PIN, 1)  # already 1: no effect
     fault_list = FaultList(nl, [fault])
     simulator = FaultSimulator(nl)
@@ -206,8 +204,6 @@ def test_fold_prunes_faults_that_reach_only_unfolded_outputs():
     patterns = PatternSet(nl)
     patterns.add({a: 0})
     patterns.add({a: 1})
-    from repro.faults import OUTPUT_PIN, StuckAtFault
-
     side_head = nl.gates[1].output
     fault_list = FaultList(nl, [StuckAtFault(side_head, 1, OUTPUT_PIN, 1)])
     simulator = FaultSimulator(nl)
@@ -216,3 +212,156 @@ def test_fold_prunes_faults_that_reach_only_unfolded_outputs():
     assert simulator.stats["faults_pruned"] == 1
     assert simulator.stats["gates_evaluated"] == 0
     assert simulator.run(patterns, fault_list).detection_words == [0b01]
+
+
+def _brute_force_verdict(reference, good, mask, fault, out, sequences,
+                         width):
+    """Rebuild every thread's good and corrupted result sequence from the
+    cone walk's faulty values and compare their software MISR folds."""
+    changed = reference._propagate_fault(fault, good, mask)
+    for sequence in sequences.values():
+        good_values, bad_values = [], []
+        for k in sequence:
+            value = bad = 0
+            for i, net in enumerate(out):
+                value |= ((good[net] >> k) & 1) << i
+                bad |= ((changed.get(net, good[net]) >> k) & 1) << i
+            good_values.append(value)
+            bad_values.append(bad)
+        if misr_fold(good_values, width) != misr_fold(bad_values, width):
+            return True
+    return False
+
+
+def _mixing_module(width=4):
+    """out[i] = a[i] ^ (b[i] & a[i+1]): faults on b only show where a
+    lets them through, so threads see different, aliasing-prone diffs."""
+    nl = Netlist("mix")
+    a = nl.add_inputs(width, "a")
+    b = nl.add_inputs(width, "b")
+    out = [nl.add_gate(GateType.XOR, a[i],
+                       nl.add_gate(GateType.AND, b[i], a[(i + 1) % width]))
+           for i in range(width)]
+    for net in out:
+        nl.mark_output(net)
+    nl.finalize()
+    return nl, a, b, out
+
+
+@given(st.integers(1, 30), st.integers(1, 5), st.sampled_from([None, 3]),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_per_thread_fold_matches_brute_force(count, num_threads,
+                                             misr_width, data):
+    """Both engines against the software MISR, with patterns spread over
+    threads in any order and some patterns in no thread at all."""
+    nl, a, b, out = _mixing_module()
+    patterns = PatternSet(nl)
+    for __ in range(count):
+        patterns.add_words([(a, data.draw(st.integers(0, 15))),
+                            (b, data.draw(st.integers(0, 15)))])
+    owner = data.draw(st.lists(st.integers(-1, num_threads - 1),
+                               min_size=count, max_size=count))
+    sequences = {}
+    for t in range(num_threads):
+        mine = [k for k in range(count) if owner[k] == t]
+        sequences[(0, t)] = data.draw(st.permutations(mine))
+    width = misr_width or len(out)
+    fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
+    good = LogicSimulator(nl).run(patterns)
+    reference = FaultSimulator(nl, engine="cone")
+    expected = [_brute_force_verdict(reference, good, patterns.mask, fault,
+                                     out, sequences, width)
+                for fault in fault_list]
+    for engine in ("event", "cone"):
+        verdicts = FaultSimulator(nl, engine=engine).run_signature(
+            patterns, fault_list, out, sequences, misr_width=misr_width)
+        assert verdicts == expected, engine
+
+
+def test_only_the_last_thread_detects():
+    """Threads 0 and 1 alias the fault away (two equal diffs `width`
+    updates apart); only thread 2, visited last, keeps it."""
+    width = 4
+    nl, a, out = _identity_module(width)
+    aliasing = [0b0001, 0b0000, 0b0010, 0b0100, 0b0001, 0b0000, 0b0110,
+                0b1000]
+    single = [0b0000, 0b0001, 0b0010, 0b0100, 0b0000, 0b0000, 0b0110,
+              0b1000]
+    streams = [aliasing, aliasing, single]
+    # Interleave: global pattern k is position k // 3 of thread k % 3.
+    patterns = PatternSet(nl)
+    for position in range(len(single)):
+        for stream in streams:
+            patterns.add_words([(a, stream[position])])
+    sequences = {(0, t): list(range(t, patterns.count, 3))
+                 for t in range(3)}
+    fault_list = FaultList(nl, [StuckAtFault(a[0], None, OUTPUT_PIN, 0)])
+    for engine in ("event", "cone"):
+        simulator = FaultSimulator(nl, engine=engine)
+        assert simulator.run_signature(
+            patterns, fault_list, out, sequences) == [True], engine
+        first_two = {key: sequences[key] for key in [(0, 0), (0, 1)]}
+        assert simulator.run_signature(
+            patterns, fault_list, out, first_two) == [False], engine
+        assert simulator.run_signature(
+            patterns, fault_list, out, {(0, 2): sequences[(0, 2)]}) \
+            == [True], engine
+
+
+def test_patterns_outside_every_thread_are_not_observed():
+    """A pattern no thread applies feeds no signature: a fault excited
+    only there is SpT-undetected (and counted inactive once), though the
+    module outputs see it."""
+    width = 4
+    nl, a, out = _identity_module(width)
+    patterns = PatternSet(nl)
+    for value in (0b0001, 0b0000, 0b0000):
+        patterns.add_words([(a, value)])
+    sequences = {(0, 0): [1], (0, 1): [2]}
+    only_outside = StuckAtFault(a[0], None, OUTPUT_PIN, 0)
+    everywhere = StuckAtFault(a[1], None, OUTPUT_PIN, 1)
+    fault_list = FaultList(nl, [only_outside, everywhere])
+    for engine in ("event", "cone"):
+        simulator = FaultSimulator(nl, engine=engine)
+        assert simulator.run_signature(
+            patterns, fault_list, out, sequences) == [False, True], engine
+        assert simulator.stats["faults_inactive"] == 1, engine
+        assert simulator.run(patterns, fault_list).detection_words[0] \
+            == 0b001, engine
+    assert FaultSimulator(nl).run_signature(
+        patterns, fault_list, out, {}) == [False, False]
+
+
+def test_reach_prune_counts_once_per_fault_not_per_thread():
+    """The reach prune runs once per fault, before the thread loop: a
+    pruned fault bumps ``faults_pruned`` once per ``run_signature`` call
+    however many threads there are."""
+    nl = Netlist("fold_reach_threads")
+    a = nl.add_input()
+    result = nl.add_gate(GateType.NOT, a)
+    side = nl.add_gate(GateType.BUF, nl.add_gate(GateType.BUF, a))
+    nl.mark_output(result)
+    nl.mark_output(side)
+    nl.finalize()
+    patterns = PatternSet(nl)
+    for value in (0, 1, 0, 1):
+        patterns.add({a: value})
+    sequences = {(0, t): [t] for t in range(4)}
+    fault_list = FaultList(
+        nl, [StuckAtFault(nl.gates[1].output, 1, OUTPUT_PIN, 1)])
+    simulator = FaultSimulator(nl)
+    for calls in (1, 2):
+        assert simulator.run_signature(patterns, fault_list, [result],
+                                       sequences) == [False]
+        assert simulator.stats["faults_pruned"] == calls
+    assert simulator.stats["faults_inactive"] == 0
+    assert simulator.stats["gates_evaluated"] == 0
+
+
+@given(st.integers(0, 2 ** 300))
+@settings(max_examples=60, deadline=None)
+def test_popcount_fallback_counts_set_bits(value):
+    """The fold's popcount on Pythons without ``int.bit_count`` (3.9)."""
+    assert _bin_popcount(value) == sum(
+        (value >> i) & 1 for i in range(value.bit_length()))

@@ -235,3 +235,129 @@ def test_parallel_simulation_matches_serial(cases):
         single = PatternSet(nl)
         single.add({a: int(av), b: int(bv), c: int(cv)})
         assert sim.run(single)[g3] == (packed >> k) & 1
+
+
+# -- column-wise packing ------------------------------------------------------
+
+def _wide_netlist(num_inputs=72):
+    """*num_inputs* inputs (enough for a word wider than one 64-bit limb)
+    and one gate output, which is not a primary input."""
+    nl = Netlist("wide")
+    ins = nl.add_inputs(num_inputs, "i")
+    side = nl.add_gate(GateType.AND, ins[0], ins[1])
+    nl.mark_output(side)
+    nl.finalize()
+    return nl, ins, side
+
+
+def _add_words_reference(nl, columns, count):
+    """The per-pattern packing ``from_columns`` replaces."""
+    reference = PatternSet(nl)
+    for k in range(count):
+        reference.add_words([(word, values[k]) for word, values in columns])
+    return reference
+
+
+@st.composite
+def _column_cases(draw):
+    """``(columns, count)`` over :func:`_wide_netlist`: disjoint words of
+    1-70 inputs, sometimes spoiled by one bad net (a non-input or a net of
+    another word) or one bad value (negative or one bit too wide)."""
+    nl, ins, side = _wide_netlist()
+    count = draw(st.integers(1, 20))
+    order = draw(st.permutations(ins))
+    sizes = draw(st.lists(st.sampled_from([1, 3, 8, 16, 70]), max_size=4))
+    words, start = [], 0
+    for size in sizes:
+        if start + size <= len(order):
+            words.append(list(order[start:start + size]))
+            start += size
+    columns = [(word, draw(st.lists(st.integers(0, 2 ** len(word) - 1),
+                                    min_size=count, max_size=count)))
+               for word in words]
+    spoil = draw(st.sampled_from(
+        [None, None, None, "non-input", "shared", "negative", "wide"]))
+    if spoil and columns:
+        which = draw(st.integers(0, len(columns) - 1))
+        word, values = columns[which]
+        k = draw(st.integers(0, count - 1))
+        if spoil == "non-input":
+            word = word + [side]
+        elif spoil == "shared":
+            word = word + [columns[which - 1][0][0]]
+        elif spoil == "negative":
+            values = values[:k] + [-1] + values[k + 1:]
+        else:
+            values = values[:k] + [2 ** len(word)] + values[k + 1:]
+        columns[which] = (word, values)
+    return nl, columns, count
+
+
+@given(_column_cases())
+@settings(max_examples=80, deadline=None)
+def test_from_columns_matches_per_pattern_add_words(case):
+    """``from_columns`` packs what one ``add_words`` per pattern packs, and
+    raises NetlistError exactly when that reference does."""
+    nl, columns, count = case
+    try:
+        reference = _add_words_reference(nl, columns, count)
+    except NetlistError:
+        with pytest.raises(NetlistError):
+            PatternSet.from_columns(nl, columns, count)
+        return
+    packed = PatternSet.from_columns(nl, columns, count)
+    assert packed.count == reference.count == count
+    assert packed.packed == reference.packed
+
+
+def test_from_columns_checks_each_case():
+    nl, ins, side = _wide_netlist()
+    word = ins[:4]
+    assert PatternSet.from_columns(nl, [(word, [5, 0])], 2).packed[ins[0]] \
+        == 0b01
+    with pytest.raises(NetlistError, match="not a primary input"):
+        PatternSet.from_columns(nl, [([side], [1])], 1)
+    with pytest.raises(NetlistError, match="more than one word"):
+        PatternSet.from_columns(nl, [(word, [1]), ([ins[3]], [0])], 1)
+    with pytest.raises(NetlistError, match="negative"):
+        PatternSet.from_columns(nl, [(word, [0, -2])], 2)
+    with pytest.raises(NetlistError, match="does not fit"):
+        PatternSet.from_columns(nl, [(word, [16])], 1)
+    with pytest.raises(NetlistError, match="column of 1 value"):
+        PatternSet.from_columns(nl, [(word, [1])], 2)
+    empty = PatternSet.from_columns(nl, [(word, [])], 0)
+    assert empty.count == 0 and set(empty.packed.values()) == {0}
+
+
+def test_from_columns_packs_words_wider_than_a_limb():
+    nl, ins, __ = _wide_netlist()
+    value = (1 << 69) | (1 << 64) | (1 << 63) | 1
+    columns = [(ins[:70], [value, 0, value >> 1])]
+    packed = PatternSet.from_columns(nl, columns, 3)
+    assert packed.packed == _add_words_reference(nl, columns, 3).packed
+    assert packed.value_of(ins[69], 0) == 1
+    assert packed.value_of(ins[68], 2) == 1
+
+
+@given(st.integers(1, 40), st.data())
+@settings(max_examples=60, deadline=None)
+def test_columnar_subset_matches_bit_by_bit_reference(count, data):
+    """Unpack -> gather -> pack equals probing each kept bit: order and
+    duplicates kept, and any index outside the set is an IndexError."""
+    nl, ins, __ = _wide_netlist(num_inputs=5)
+    columns = [([net], data.draw(st.lists(st.integers(0, 1), min_size=count,
+                                          max_size=count)))
+               for net in ins]
+    patterns = PatternSet.from_columns(nl, columns, count)
+    indices = data.draw(st.lists(st.integers(-2, count + 1), max_size=50))
+    if any(not 0 <= index < count for index in indices):
+        with pytest.raises(IndexError):
+            patterns.subset(indices)
+        return
+    sub = patterns.subset(indices)
+    assert sub.count == len(indices)
+    for net in ins:
+        for new_index, old_index in enumerate(indices):
+            assert sub.value_of(net, new_index) == \
+                patterns.value_of(net, old_index)
+        assert sub.packed[net] >> len(indices) == 0
