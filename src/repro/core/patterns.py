@@ -51,19 +51,14 @@ class PatternReport:
         count = len(self.records)
         columns = {}
         for k, record in enumerate(self.records):
+            if len({port for port, __ in record.values}) != len(record.values):
+                raise NetlistError(
+                    "a port is assigned twice in pattern {}".format(k))
             for port, value in record.values:
                 column = columns.get(port)
                 if column is None:
-                    column = columns[port] = [None] * count
-                elif column[k] is not None:
-                    raise NetlistError(
-                        "port {!r} is assigned twice in pattern {}".format(
-                            port, k))
+                    column = columns[port] = [0] * count
                 column[k] = value
-        for column in columns.values():
-            if None in column:
-                column[:] = [0 if value is None else value
-                             for value in column]
         words = self.module.input_words
         return PatternSet.from_columns(
             self.module.netlist,

@@ -293,9 +293,7 @@ class FaultSimulator:
         # The MISR masks every folded result to `width` bits
         # (``misr_update``): result-bus bits at positions >= width never
         # enter the signature, so only the first `width` result nets are
-        # folded.  (Folding the full bus let diff bits ``1 << i`` for
-        # ``i >= width`` escape ``word_mask`` on the rotation-0 path and
-        # produced spurious SpT detections.)
+        # folded (``_misr_detects`` needs every result bit below width).
         fold_word = result_word[:width]
         fold_bits = {}
         for i, net in enumerate(fold_word):
@@ -303,16 +301,14 @@ class FaultSimulator:
         targets = frozenset(fold_word)
 
         # Per thread: its patterns in sequence order, their good values,
-        # and the rotation-class masks over those positions (position p of
-        # an n-long sequence is rotated by (n - 1 - p) mod width).
+        # and the sequence length.
         threads = []
         for sequence in thread_sequences.values():
             if not sequence:
                 continue
             thread_patterns = patterns.subset(sequence)
             good = self._net_list(self._logic.run(thread_patterns))
-            threads.append((thread_patterns.mask, good,
-                            _rotation_classes(len(sequence), width)))
+            threads.append((thread_patterns.mask, good, len(sequence)))
 
         pruned, effect_of = self._pruned, self._effect
         stats = self.stats
@@ -321,19 +317,20 @@ class FaultSimulator:
             detected = False
             if not pruned(fault, targets):
                 excited = False
-                for mask, good, classes in threads:
+                for mask, good, length in threads:
                     effect = effect_of(fault, good, mask)
                     if effect is None:
                         continue
                     excited = True
                     faulty, changed = effect
-                    diffs = []
+                    diffs = {}
                     for net in changed:
                         bits = fold_bits.get(net)
                         if bits is not None:
                             diff = faulty[net] ^ good[net]
-                            diffs.extend((i, diff) for i in bits)
-                    if diffs and _misr_detects(diffs, classes, width):
+                            for i in bits:
+                                diffs[i] = diff
+                    if diffs and _misr_detects(diffs, length, width):
                         detected = True
                         break
                 if not excited:
@@ -429,54 +426,36 @@ class FaultSimulator:
         return changed
 
 
-def _bin_popcount(value):
-    """Set bits of a non-negative int on Pythons without
-    ``int.bit_count`` (added in 3.10)."""
-    return bin(value).count("1")
-
-
-_popcount = getattr(int, "bit_count", _bin_popcount)
-
-
 def _never_pruned(fault, targets):
     """The cone walk prunes nothing."""
     return False
 
 
-def _rotation_classes(n, width):
-    """Rotation-class masks of an *n*-long thread sequence: class ``r``
-    holds the positions ``p`` with ``(n - 1 - p) % width == r``."""
-    every = int(("0" * (width - 1) + "1") * -(-n // width), 2)
-    positions = (1 << n) - 1
-    return [(every << ((n - 1 - r) % width)) & positions
-            for r in range(width)]
-
-
-def _misr_detects(diffs, classes, width):
+def _misr_detects(diffs, length, width):
     """Does one fault's result-bus difference survive one thread's MISR
     fold?
 
-    *diffs* holds ``(result bit, per-pattern diff word)`` pairs over the
-    thread's patterns; *classes* holds the thread's rotation-class masks.
-    By XOR linearity the thread's signature difference is the XOR over
-    rotation classes of the rotated parity of the class's diff bits.
+    *diffs* maps each result bit to its per-pattern diff word over the
+    thread's *length* patterns.  By XOR linearity the signature
+    difference XORs result bit ``i`` of position ``p`` into signature bit
+    ``(i + length - 1 - p) % width``.  Shifted left by
+    ``-length % width``, the positions of one signature offset share
+    their residue mod *width*, so XORing a diff word's *width*-bit chunks
+    gives, at bit ``j``, the parity of the positions that land
+    ``width - 1 - j`` above ``i``.  Rotating that right by ``i`` gives the
+    bit-reversed signature contribution of result bit ``i``, and the XOR
+    of the contributions is zero exactly when the signature difference
+    is.
     """
+    shift = -length % width
     word_mask = (1 << width) - 1
-    union = 0
-    for __, diff in diffs:
-        union |= diff
     total = 0
-    for rotation, class_mask in enumerate(classes):
-        if union & class_mask == 0:
-            continue
-        value = 0
-        for i, diff in diffs:
-            overlap = diff & class_mask
-            if overlap and _popcount(overlap) & 1:
-                value |= 1 << i
-        if value:
-            rotated = ((value << rotation) |
-                       (value >> (width - rotation))
-                       ) & word_mask if rotation else value
-            total ^= rotated
+    for i, diff in diffs.items():
+        chunks = diff << shift
+        while chunks >> width:
+            half = (-(-chunks.bit_length() // width) // 2) * width
+            chunks = (chunks & ((1 << half) - 1)) ^ (chunks >> half)
+        if i:
+            chunks = ((chunks >> i) | (chunks << (width - i))) & word_mask
+        total ^= chunks
     return total != 0

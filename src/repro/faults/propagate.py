@@ -295,9 +295,10 @@ class EventDrivenEngine:
         changed_nets = [seed]
         pending = 0
         for gate in fanout[seed]:
-            stamp[gate] = serial
-            buckets[gate_level[gate]].append(gate)
-            pending += 1
+            if stamp[gate] != serial:
+                stamp[gate] = serial
+                buckets[gate_level[gate]].append(gate)
+                pending += 1
 
         evaluated = 0
         level = 0

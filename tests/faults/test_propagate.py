@@ -196,6 +196,27 @@ def test_frontier_death_stops_the_walk_early():
     assert faulty[nl.outputs[0]] == good_list[nl.outputs[0]]
 
 
+def test_gate_reading_the_seed_twice_is_evaluated_once():
+    """A gate with the seed net on both pins is scheduled once, so its
+    output is listed once among the changed nets."""
+    nl = Netlist("twice")
+    a = nl.add_input()
+    n = nl.add_gate(GateType.NOT, a)
+    out = nl.add_gate(GateType.NAND, n, n)
+    nl.mark_output(out)
+    nl.finalize()
+    patterns = PatternSet(nl)
+    patterns.add({a: 0})
+    good_list = [0] * nl.num_nets
+    for net, value in LogicSimulator(nl).run(patterns).items():
+        good_list[net] = value
+    engine = EventDrivenEngine(nl)
+    fault = StuckAtFault(n, None, OUTPUT_PIN, 0)
+    faulty, changed = engine.propagate(fault, good_list, patterns.mask)
+    assert changed == [n, out]
+    assert engine.last_evaluated == 1
+
+
 def test_unexcited_fault_short_circuits():
     nl, a, b = _dying_chain()
     patterns = PatternSet(nl)

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
 from repro.faults.fault import enumerate_faults
-from repro.faults.fault_sim import _bin_popcount
+from repro.faults.fault_sim import _misr_detects
 from repro.netlist import GateType, LogicSimulator, Netlist, PatternSet
-from repro.stl.signature import misr_fold
+from repro.stl.signature import difference_fold, misr_fold
 
 
 def _identity_module(width=4):
@@ -279,6 +279,34 @@ def test_per_thread_fold_matches_brute_force(count, num_threads,
         assert verdicts == expected, engine
 
 
+@given(st.integers(1, 32), st.integers(1, 300), st.data())
+@settings(max_examples=120, deadline=None)
+def test_chunk_fold_matches_difference_fold(width, length, data):
+    """The fold's verdict over one thread is non-zero exactly when the
+    per-position rotation fold of the result differences is.  The diffs
+    are sparse bit flips, each sometimes paired with a twin that lands
+    on the same signature bit, so aliasing cases are common."""
+    diffs = {}
+    for __ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, width - 1))
+        p = data.draw(st.integers(0, length - 1))
+        diffs[i] = diffs.get(i, 0) ^ 1 << p
+        if data.draw(st.booleans()):
+            # i + (length - 1 - p) == twin + (length - 1 - q)  (mod width)
+            twin = data.draw(st.integers(0, width - 1))
+            q = p + (twin - i) % width
+            if q < length:
+                diffs[twin] = diffs.get(twin, 0) ^ 1 << q
+    by_position = {}
+    for p in range(length):
+        value = 0
+        for i, diff in diffs.items():
+            value |= (diff >> p & 1) << i
+        by_position[p] = value
+    assert _misr_detects(diffs, length, width) == (
+        difference_fold(by_position, length, width) != 0)
+
+
 def test_only_the_last_thread_detects():
     """Threads 0 and 1 alias the fault away (two equal diffs `width`
     updates apart); only thread 2, visited last, keeps it."""
@@ -358,10 +386,3 @@ def test_reach_prune_counts_once_per_fault_not_per_thread():
     assert simulator.stats["faults_inactive"] == 0
     assert simulator.stats["gates_evaluated"] == 0
 
-
-@given(st.integers(0, 2 ** 300))
-@settings(max_examples=60, deadline=None)
-def test_popcount_fallback_counts_set_bits(value):
-    """The fold's popcount on Pythons without ``int.bit_count`` (3.9)."""
-    assert _bin_popcount(value) == sum(
-        (value >> i) & 1 for i in range(value.bit_length()))
