@@ -23,6 +23,7 @@ from repro.core import (
     partition_ptp,
     reduce_ptp,
     run_logic_tracing,
+    trace_and_pack,
 )
 from repro.core.labeling import ESSENTIAL
 from repro.core.reduction import segment_small_blocks
@@ -133,8 +134,11 @@ def test_sb_granularity_preserves_certified_patterns(benchmark, experiment):
         original = pattern_multiset(ptp)
         sb_patterns = pattern_multiset(sb_level.compacted)
         instr_patterns = pattern_multiset(instr_level)
-        sb_fc = evaluate_fc(sb_level.compacted, module, gpu=gpu).fc_percent
-        instr_fc = evaluate_fc(instr_level, module, gpu=gpu).fc_percent
+        simulator = FaultSimulator(module.netlist)
+        sb_fc = evaluate_fc(trace_and_pack(sb_level.compacted, module, gpu),
+                            simulator).fc_percent
+        instr_fc = evaluate_fc(trace_and_pack(instr_level, module, gpu),
+                               simulator).fc_percent
         return (ptp, sb_level, instr_level, original, sb_patterns,
                 instr_patterns, sb_fc, instr_fc)
 

@@ -2,7 +2,8 @@
 
 * Stage 1 — :func:`~repro.core.partition.partition_ptp` (BBs, CFG, ARCs);
 * Stage 2 — :func:`~repro.core.tracing.run_logic_tracing` (tracing report +
-  VCDE pattern report);
+  VCDE pattern report) and :func:`~repro.core.tracing.trace_and_pack`
+  (plus the packed pattern set every fault simulation reads);
 * Stage 3 — one :class:`~repro.faults.fault_sim.FaultSimulator` run +
   :func:`~repro.core.labeling.label_instructions` (Fig. 2);
 * Stage 4 — :func:`~repro.core.reduction.reduce_ptp` (Fig. 3);
@@ -31,12 +32,13 @@ from .reports import (
     write_fault_sim_report,
     write_labeled_ptp,
 )
-from .tracing import TracingResult, collector_for, run_logic_tracing
+from .tracing import TracedPtp, TracingResult, collector_for, run_logic_tracing, trace_and_pack
 
 __all__ = [
     "partition_ptp", "PartitionResult", "build_cfg", "find_loops",
     "BasicBlock", "ControlFlowGraph",
     "run_logic_tracing", "TracingResult", "collector_for",
+    "trace_and_pack", "TracedPtp",
     "PatternReport", "write_pattern_report", "parse_pattern_report",
     "label_instructions", "LabeledPtp", "ESSENTIAL", "UNESSENTIAL",
     "reduce_ptp", "segment_small_blocks", "ReductionResult", "SmallBlock",

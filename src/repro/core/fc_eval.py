@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import CompactionError
 from ..faults.fault import FaultList
-from ..faults.fault_sim import FaultSimulator
+
+#: Accepted ``observability`` values of :func:`evaluate_fc`.
+OBSERVABILITIES = ("module", "signature")
 
 
 @dataclass
@@ -43,83 +46,62 @@ class FcEvaluation:
     observability: str
 
 
-def evaluate_fc(ptp, module, fault_list=None, gpu=None, observability=None,
-                reverse_patterns=False, cache=None, scheduler=None,
-                incremental=None):
-    """Fault-simulate *ptp* end to end and report its FC.
+def evaluate_fc(traced, simulator, fault_list=None, observability=None,
+                simulate=None):
+    """Fault-simulate a traced PTP and report its FC.
 
     Args:
-        ptp: the PTP to evaluate.
-        module: the target :class:`HardwareModule`.
+        traced: the PTP's :class:`~repro.core.tracing.TracedPtp` (from
+            :func:`~repro.core.tracing.trace_and_pack`, which applies
+            ``reverse_patterns``).
+        simulator: the module's
+            :class:`~repro.faults.fault_sim.FaultSimulator`.
         fault_list: faults to measure against (default: the module's full
             collapsed list — the denominator is always this list's size).
-        gpu: optional shared :class:`~repro.gpu.gpu.Gpu`.
         observability: "module" or "signature"; default picks "signature"
             for PTPs with ``uses_signature`` and "module" otherwise.
-        reverse_patterns: apply the pattern sequence in reverse order (the
-            paper does this for SFU_IMM).
-        cache: optional :class:`~repro.exec.cache.ArtifactCache` — the
-            tracing is looked up/stored by content key (a repeated
-            evaluation, e.g. the FC-guard's stage-5 re-run, skips the
-            RTL/GL simulation entirely).
-        scheduler: optional
-            :class:`~repro.exec.scheduler.ShardedFaultScheduler` for the
-            module-observability fault simulation (the signature fold
-            always runs inline).  A campaign-shared scheduler reuses its
-            already-primed worker pool here; evaluation simulates all of
-            *fault_list*, never the dropped remainder (under static
-            pruning the pipeline passes the testable list).
-        incremental: optional
-            :class:`~repro.exec.incremental.IncrementalFaultSim` — the
-            module-observability simulation then restores unchanged-cone
-            detection state from the fault-state record keyed by
-            (*ptp* name, *module*, engine) and re-simulates only the
-            invalidated remainder.  Signature-observability evaluations
-            ignore it (the MISR fold consumes result-bus value *diffs*,
-            which the record does not carry).
+        simulate: the module-observability fault simulation, called as
+            ``simulate(patterns, fault_list)`` and returning a
+            :class:`~repro.faults.fault_sim.FaultSimResult`: the pipeline
+            passes its incremental/scheduler step, the default is
+            ``simulator.run``.  The signature fold always runs
+            ``simulator.run_signature`` inline.
 
     Returns:
         An :class:`FcEvaluation`.
+
+    Raises:
+        CompactionError: *observability* is not None, "module" or
+            "signature".
     """
-    from ..exec.cache import cached_logic_tracing
-
-    if fault_list is None:
-        fault_list = FaultList(module.netlist)
     if observability is None:
-        observability = "signature" if ptp.uses_signature else "module"
-
-    tracing = cached_logic_tracing(ptp, module, gpu, cache)
-    report = tracing.pattern_report
-    if reverse_patterns:
-        report = report.reversed()
-    patterns = report.to_pattern_set()
-    simulator = FaultSimulator(module.netlist)
+        observability = ("signature" if traced.ptp.uses_signature
+                         else "module")
+    if observability not in OBSERVABILITIES:
+        raise CompactionError(
+            "observability must be one of {}, got {!r}".format(
+                "/".join(OBSERVABILITIES), observability))
+    if fault_list is None:
+        fault_list = FaultList(simulator.netlist)
+    patterns = traced.patterns
 
     if observability == "signature":
+        module = traced.report.module
         signature_detected = simulator.run_signature(
             patterns, fault_list, module.output_words["result"],
-            report.thread_sequences())
+            traced.report.thread_sequences())
         detected = {fault for fault, hit in zip(fault_list,
                                                 signature_detected) if hit}
-    elif incremental is not None:
-        key = incremental.cache.fault_state_key(ptp.name, module,
-                                                simulator.engine)
-        result, __info = incremental.run(scheduler, simulator, patterns,
-                                         fault_list, key)
-        detected = set(result.detected_faults)
-    elif scheduler is not None:
-        result = scheduler.run(simulator, patterns, fault_list)
-        detected = set(result.detected_faults)
     else:
-        result = simulator.run(patterns, fault_list)
-        detected = set(result.detected_faults)
+        simulate = simulate or simulator.run
+        detected = set(simulate(patterns, fault_list).detected_faults)
 
     fc = 100.0 * len(detected) / len(fault_list) if len(fault_list) else 0.0
     return FcEvaluation(
-        ptp=ptp,
+        ptp=traced.ptp,
         fc_percent=fc,
         detected=detected,
-        cycles=tracing.cycles,
+        cycles=traced.tracing.cycles,
         pattern_count=patterns.count,
         observability=observability,
     )

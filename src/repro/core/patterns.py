@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import NetlistError, ReportError
+from ..errors import ReportError
 from ..gpu.stimuli import StimulusRecord
-from ..netlist.simulator import PatternSet
 
 
 @dataclass
@@ -38,32 +37,17 @@ class PatternReport:
         return len(self.records)
 
     def to_pattern_set(self):
-        """Build the netlist :class:`PatternSet` (one pattern per record).
-
-        The records are transposed into one column of values per port and
-        packed at once by :meth:`PatternSet.from_columns`; a port a record
+        """Build the netlist
+        :class:`~repro.netlist.simulator.PatternSet` (one pattern per
+        record) with :meth:`HardwareModule.pattern_set`; a port a record
         does not list is 0 in that pattern.
 
         Raises:
             NetlistError: a record lists one port twice, or a value does
-                not fit its port (see :meth:`PatternSet.add_words`).
+                not fit its port.
         """
-        count = len(self.records)
-        columns = {}
-        for k, record in enumerate(self.records):
-            if len({port for port, __ in record.values}) != len(record.values):
-                raise NetlistError(
-                    "a port is assigned twice in pattern {}".format(k))
-            for port, value in record.values:
-                column = columns.get(port)
-                if column is None:
-                    column = columns[port] = [0] * count
-                column[k] = value
-        words = self.module.input_words
-        return PatternSet.from_columns(
-            self.module.netlist,
-            [(words[port], column) for port, column in columns.items()],
-            count)
+        return self.module.pattern_set(
+            [record.values for record in self.records])
 
     def reversed(self):
         """Pattern report with application order reversed (the paper

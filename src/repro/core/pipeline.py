@@ -21,9 +21,9 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 from ..errors import CompactionError, VerificationError
-from ..exec.cache import cached_logic_tracing
 from ..exec.incremental import IncrementalFaultSim, validate_incremental_mode
 from ..exec.scheduler import ShardedFaultScheduler
 from ..faults.dropping import FaultListReport
@@ -34,6 +34,7 @@ from .fc_eval import evaluate_fc
 from .labeling import label_instructions
 from .partition import partition_ptp
 from .reduction import reduce_ptp
+from .tracing import trace_and_pack
 
 
 #: Pipeline stage names, in execution order.  ``stage_hook`` callbacks and
@@ -162,10 +163,11 @@ class CompactionPipeline:
             *cache*; ``"off"`` (default) is the seed behavior.
 
     Attributes:
-        simulator: the stage-3 :class:`~repro.faults.fault_sim.FaultSimulator`
-            (the default event engine).  Differential tests replace it
-            with the ``"cone"`` reference; stage-3 runs and the
-            fault-state key read it at every :meth:`compact`.
+        simulator: the :class:`~repro.faults.fault_sim.FaultSimulator` of
+            every stage-3 and stage-5 fault simulation (the default event
+            engine).  Differential tests replace it with the ``"cone"``
+            reference; the runs and the fault-state key read it at every
+            :meth:`compact`.
     """
 
     def __init__(self, module, gpu=None, jobs=None, cache=None,
@@ -242,6 +244,19 @@ class CompactionPipeline:
             return nullcontext()
         return self.metrics.stage_timer(stage)
 
+    def _simulate(self, ptp, patterns, fault_list):
+        """The module-observability fault simulation of *ptp*'s
+        *patterns*, for stage 3 and stage 5 alike: an incremental restore
+        from the (PTP, module, engine) fault-state record when the
+        incremental layer is on, else a scheduler run."""
+        if self._incremental is None:
+            return self.scheduler.run(self.simulator, patterns, fault_list)
+        key = self.cache.fault_state_key(ptp.name, self.module,
+                                         self.simulator.engine)
+        result, __info = self._incremental.run(
+            self.scheduler, self.simulator, patterns, fault_list, key)
+        return result
+
     def compact(self, ptp, reverse_patterns=False, evaluate=True,
                 dropping=True, stage_hook=None):
         """Compact one PTP; returns a :class:`CompactionOutcome`.
@@ -278,15 +293,13 @@ class CompactionPipeline:
         with self._timed("partition"):
             partition = partition_ptp(ptp)
         # Stage 2: logic tracing (RTL trace + GL pattern report),
-        # memoized by the artifact cache when one is attached.
+        # memoized by the artifact cache when one is attached, and the
+        # pattern set every fault simulation of this PTP reads.
         hook("tracing")
         with self._timed("tracing"):
-            tracing = cached_logic_tracing(
-                ptp, self.module, self.gpu, self.cache)
-        report = tracing.pattern_report
-        if reverse_patterns:
-            report = report.reversed()
-        patterns = report.to_pattern_set()
+            traced = trace_and_pack(ptp, self.module, self.gpu, self.cache,
+                                    reverse_patterns)
+        tracing = traced.tracing
         # Stage 3: ONE optimized fault simulation + labeling.  Sharding
         # happens *after* the drop filter (the scheduler sees the already
         # filtered target list) and the merged result feeds the drop
@@ -298,15 +311,7 @@ class CompactionPipeline:
         target_list = (self.fault_report.remaining if dropping
                        else self.evaluation_fault_list)
         with self._timed("fault_simulation"):
-            if self._incremental is not None:
-                state_key = self.cache.fault_state_key(
-                    ptp.name, self.module, self.simulator.engine)
-                fault_result, __info = self._incremental.run(
-                    self.scheduler, self.simulator, patterns, target_list,
-                    state_key)
-            else:
-                fault_result = self.scheduler.run(self.simulator, patterns,
-                                                  target_list)
+            fault_result = self._simulate(ptp, traced.patterns, target_list)
         # Strict mode: re-simulate the statically pruned faults against
         # this PTP's patterns under the differential oracle.  Raises (and
         # aborts before the fault report is mutated) if any proof is
@@ -314,11 +319,12 @@ class CompactionPipeline:
         if (self.static_prune == "strict"
                 and self.fault_report.untestable_faults):
             from ..testability.analysis import cross_check_pruned
-            checked = cross_check_pruned(self.module.netlist, patterns,
+            checked = cross_check_pruned(self.module.netlist,
+                                         traced.patterns,
                                          list(self.fault_report.untestable))
             if self.metrics is not None:
                 self.metrics.bump("static.cross_checked", checked)
-        labeled = label_instructions(ptp, tracing.trace, report,
+        labeled = label_instructions(ptp, tracing.trace, traced.report,
                                      fault_result)
         # Stage 4: reduction.
         hook("reduction")
@@ -377,35 +383,31 @@ class CompactionPipeline:
         )
 
         # Stage 5: reassembly validation (evaluation-only fault sims).
-        # The original PTP's tracing hits the stage-2 cache entry; the
-        # compacted PTP gets its own content key.
+        # The original PTP is evaluated from its stage-2 tracing and
+        # pattern set; the compacted PTP is traced (under its own cache
+        # key) and packed the same way.
         hook("evaluation")
         with self._timed("evaluation"):
+            compacted = trace_and_pack(reduction.compacted, self.module,
+                                       self.gpu, self.cache,
+                                       reverse_patterns)
+            outcome.compacted_cycles = compacted.tracing.cycles
             if evaluate:
                 # The report's own list (full, or testable under static
                 # pruning): the kept detected sets then hold the faults
                 # the report already holds, not a fresh copy per run.
                 eval_list = self.evaluation_fault_list
                 original_eval = evaluate_fc(
-                    ptp, self.module, fault_list=eval_list, gpu=self.gpu,
-                    reverse_patterns=reverse_patterns, cache=self.cache,
-                    scheduler=self.scheduler, incremental=self._incremental)
+                    traced, self.simulator, eval_list,
+                    simulate=partial(self._simulate, ptp))
                 compacted_eval = evaluate_fc(
-                    reduction.compacted, self.module, fault_list=eval_list,
-                    gpu=self.gpu,
-                    reverse_patterns=reverse_patterns, cache=self.cache,
-                    scheduler=self.scheduler, incremental=self._incremental)
+                    compacted, self.simulator, eval_list,
+                    simulate=partial(self._simulate, reduction.compacted))
                 outcome.original_fc = original_eval.fc_percent
                 outcome.compacted_fc = compacted_eval.fc_percent
                 outcome.original_detected = original_eval.detected
                 outcome.compacted_detected = compacted_eval.detected
-                outcome.original_cycles = original_eval.cycles
-                outcome.compacted_cycles = compacted_eval.cycles
                 outcome.fault_simulations += 2
-            else:
-                compacted_tracing = cached_logic_tracing(
-                    reduction.compacted, self.module, self.gpu, self.cache)
-                outcome.compacted_cycles = compacted_tracing.cycles
 
         self.outcomes.append(outcome)
         return outcome

@@ -11,7 +11,8 @@ GL) with the PTPs in the microarchitectural description of the GPU":
 Our cycle-level model produces both artifacts from one kernel execution —
 the two paper simulations observe the same run at different abstraction
 levels — exposed here as one :func:`run_logic_tracing` call returning both
-reports plus the kernel duration.
+reports plus the kernel duration.  :func:`trace_and_pack` adds the packed
+pattern set; every fault simulation of a PTP reads its result.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CompactionError
+from ..exec.cache import cached_logic_tracing
 from ..gpu.gpu import Gpu
 from ..gpu.stimuli import DecoderUnitCollector, SfuCollector, SpCoreCollector
 from .patterns import PatternReport
@@ -77,3 +79,36 @@ def run_logic_tracing(ptp, module, gpu=None):
         instructions=result.instructions,
         kernel_result=result,
     )
+
+
+@dataclass(frozen=True)
+class TracedPtp:
+    """A PTP's stage-2 artifacts, as its fault simulations apply them.
+
+    Attributes:
+        ptp: the traced PTP.
+        tracing: its :class:`TracingResult`.
+        report: the applied :class:`PatternReport` (reversed under
+            ``reverse_patterns``).
+        patterns: *report* packed into a
+            :class:`~repro.netlist.simulator.PatternSet`.
+    """
+
+    ptp: object
+    tracing: TracingResult
+    report: object
+    patterns: object
+
+
+def trace_and_pack(ptp, module, gpu=None, cache=None,
+                   reverse_patterns=False):
+    """Stage 2 for *ptp*: its logic tracing (through the artifact *cache*
+    when one is given), the applied pattern report and its pattern set.
+
+    Returns a :class:`TracedPtp`.
+    """
+    tracing = cached_logic_tracing(ptp, module, gpu, cache)
+    report = tracing.pattern_report
+    if reverse_patterns:
+        report = report.reversed()
+    return TracedPtp(ptp, tracing, report, report.to_pattern_set())

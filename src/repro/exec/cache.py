@@ -2,8 +2,9 @@
 
 Stage 2 (logic tracing) recomputes the same RTL/GL simulation whenever the
 same PTP meets the same module under the same GPU configuration — on plain
-re-runs, on ``--resume``, and in the FC-guard's stage-5 re-evaluation of
-the *original* PTP.  This module memoizes those artifacts on disk:
+re-runs and on ``--resume``.  (Within one compaction, stage 5 reuses the
+stage-2 tracing of the original PTP and reads nothing back.)  This module
+memoizes those artifacts on disk:
 
 * **addressing** — an entry key is the SHA-256 of the canonical JSON of
   (PTP content, GPU configuration, module fingerprint, stage name,
@@ -146,8 +147,8 @@ class ArtifactCache:
     def get(self, key):
         """Payload dict for *key*, or None (counted as hit/miss).
 
-        A hit refreshes the entry's LRU position; a corrupt entry is
-        deleted and reported as a miss.
+        A hit refreshes the entry's LRU position; a corrupt entry (not
+        JSON, or not even UTF-8 text) is deleted and reported as a miss.
         """
         path = self._path_of(key)
         try:
@@ -156,7 +157,7 @@ class ArtifactCache:
         except OSError:
             self.stats["misses"] += 1
             return None
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, UnicodeDecodeError):
             try:
                 os.unlink(path)
             except OSError:

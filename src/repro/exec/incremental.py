@@ -40,6 +40,8 @@ re-simulation — corruption can cost speed, never correctness.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import IncrementalError
 from ..faults.fault_sim import FaultSimResult
 from ..faults.fault import FaultList
@@ -47,10 +49,6 @@ from ..faults.propagate import PropagationSchedule
 from ..netlist.simulator import iter_set_bits
 from .cache import FAULT_STATE_VERSION, _sha256_of
 
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Valid values of the ``--incremental`` switch.
 INCREMENTAL_MODES = ("off", "on", "strict")
@@ -241,10 +239,10 @@ class IncrementalFaultSim:
     def _projection_context(self, patterns):
         """The (cross-run) projection context for *patterns*.
 
-        Keyed by pattern *content*, so a bit-identical pattern set
-        reconstructed elsewhere (e.g. stage 5 re-deriving the stage-3
-        patterns from a cached tracing artifact) shares the context.  A
-        short FIFO bounds memory across many distinct pattern sets.
+        Keyed by pattern *content*, so a bit-identical pattern set built
+        by a later run (e.g. a re-run re-tracing an unedited PTP) shares
+        the context.  A short FIFO bounds memory across many distinct
+        pattern sets.
         """
         key = (patterns.count, tuple(sorted(patterns.packed.items())))
         context = self._proj_contexts.get(key)
@@ -273,68 +271,51 @@ class IncrementalFaultSim:
         nets = sorted(support)
         mask = patterns.mask
         count = patterns.count
-        if _np is not None:
-            # Vectorized bit transpose: unpack each support net's packed
-            # word into a row of pattern bits (cached per net — supports
-            # overlap heavily), repack column-wise so row k reads out
-            # pattern k's support-restricted value (bit b of the value =
-            # nets[b], as in the scalar path), then group the distinct
-            # rows in C via np.unique.
-            num_bytes = (count + 7) // 8
-            row_cache = context["rows"]
-            rows = _np.empty((len(nets), count), dtype=_np.uint8)
-            for bit, net in enumerate(nets):
-                row = row_cache.get(net)
-                if row is None:
-                    word = patterns.packed.get(net, 0) & mask
-                    raw = _np.frombuffer(
-                        word.to_bytes(num_bytes, "little"),
-                        dtype=_np.uint8)
-                    row = _np.unpackbits(raw, bitorder="little")[:count]
-                    row_cache[net] = row
-                rows[bit] = row
-            packed = _np.packbits(rows.T, axis=1, bitorder="little")
-            row_bytes = packed.tobytes()
-            width = packed.shape[1]
-            # Group patterns by their (hashable) value bytes; only the
-            # distinct values ever become Python ints.
-            index_by_bytes = {}
-            masks = []
-            slot_of = []
-            for k in range(count):
-                raw = row_bytes[k * width:(k + 1) * width]
-                slot = index_by_bytes.get(raw)
-                if slot is None:
-                    slot = len(masks)
-                    index_by_bytes[raw] = slot
-                    masks.append(0)
-                masks[slot] |= 1 << k
-                slot_of.append(slot)
-            uvals = [int.from_bytes(raw, "little")
-                     for raw in index_by_bytes]
-            value_masks = dict(zip(uvals, masks))
-            # Canonical ascending-integer order (what the scalar path
-            # and the record layout use).
-            order = sorted(range(len(uvals)), key=uvals.__getitem__)
-            values = [uvals[j] for j in order]
-            rank = [0] * len(uvals)
-            for pos, j in enumerate(order):
-                rank[j] = pos
-            pos_of = [rank[j] for j in slot_of]
-        else:
-            per_pattern = [0] * count
-            for bit, net in enumerate(nets):
+        # Vectorized bit transpose: unpack each support net's packed word
+        # into a row of pattern bits (cached per net — supports overlap
+        # heavily), repack column-wise so row k reads out pattern k's
+        # support-restricted value (bit b of the value = nets[b]), then
+        # group the patterns by their value bytes.
+        num_bytes = (count + 7) // 8
+        row_cache = context["rows"]
+        rows = np.empty((len(nets), count), dtype=np.uint8)
+        for bit, net in enumerate(nets):
+            row = row_cache.get(net)
+            if row is None:
                 word = patterns.packed.get(net, 0) & mask
-                if word:
-                    flag = 1 << bit
-                    for k in iter_set_bits(word):
-                        per_pattern[k] |= flag
-            value_masks = {}
-            for k, value in enumerate(per_pattern):
-                value_masks[value] = value_masks.get(value, 0) | (1 << k)
-            values = sorted(value_masks)
-            position = {value: pos for pos, value in enumerate(values)}
-            pos_of = [position[value] for value in per_pattern]
+                raw = np.frombuffer(word.to_bytes(num_bytes, "little"),
+                                    dtype=np.uint8)
+                row = np.unpackbits(raw, bitorder="little")[:count]
+                row_cache[net] = row
+            rows[bit] = row
+        packed = np.packbits(rows.T, axis=1, bitorder="little")
+        row_bytes = packed.tobytes()
+        width = packed.shape[1]
+        # Group patterns by their (hashable) value bytes; only the
+        # distinct values ever become Python ints.
+        index_by_bytes = {}
+        masks = []
+        slot_of = []
+        for k in range(count):
+            raw = row_bytes[k * width:(k + 1) * width]
+            slot = index_by_bytes.get(raw)
+            if slot is None:
+                slot = len(masks)
+                index_by_bytes[raw] = slot
+                masks.append(0)
+            masks[slot] |= 1 << k
+            slot_of.append(slot)
+        uvals = [int.from_bytes(raw, "little")
+                 for raw in index_by_bytes]
+        value_masks = dict(zip(uvals, masks))
+        # Canonical ascending-integer order (what the record layout
+        # uses).
+        order = sorted(range(len(uvals)), key=uvals.__getitem__)
+        values = [uvals[j] for j in order]
+        rank = [0] * len(uvals)
+        for pos, j in enumerate(order):
+            rank[j] = pos
+        pos_of = [rank[j] for j in slot_of]
         vkeys = [_vkey(value) for value in values]
         proj = (nets, value_masks, values, vkeys, pos_of)
         context["projections"][support] = proj
@@ -477,11 +458,10 @@ class IncrementalFaultSim:
         """The propagation schedule for *simulator*'s netlist.
 
         The first schedule seen per netlist is adopted and pinned (the
-        event engine's own instance when one exists, else a fresh build)
-        so the per-seed ``support_of`` memo survives across the several
-        simulator instances a pipeline run constructs — stage-5 FC
-        evaluation builds throwaway simulators, and recomputing supports
-        for every fault group each time dwarfs the restore itself."""
+        event engine's own instance when one exists, else a fresh build:
+        the cone reference has none) so the per-seed ``support_of`` memo
+        survives across runs — recomputing supports for every fault group
+        each time dwarfs the restore itself."""
         netlist = simulator.netlist
         entry = self._schedules.get(id(netlist))
         if entry is not None and entry[0] is netlist:

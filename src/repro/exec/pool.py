@@ -125,10 +125,8 @@ def _prime_patterns(state, ctx_id, pat_id, packed, count):
     from ..netlist.simulator import PatternSet
 
     simulator, __ = state.contexts[ctx_id]
-    patterns = PatternSet(simulator.netlist)
-    patterns.packed = dict(packed)
-    patterns.count = count
-    state.patterns[ctx_id] = (pat_id, patterns)
+    state.patterns[ctx_id] = (pat_id,
+                              PatternSet(simulator.netlist, count, packed))
 
 
 def _run_chunk(state, ctx_id, pat_id, entries):
@@ -199,8 +197,7 @@ class _Context:
         self.observed = observed
         self.engine = engine
         self.index = index          # canonical fault -> id
-        self.pattern = None         # latest (patterns, pat_id, count,
-        #                                     version)
+        self.pattern = None         # latest (patterns, pat_id)
 
     def matches(self, netlist, observed, engine):
         return (self.netlist is netlist and self.observed == observed
@@ -368,18 +365,14 @@ class WorkerPool:
 
     def _pattern_id(self, context, patterns):
         """Id of *patterns* within *context*.  Only the context's latest
-        set is kept: a different set object — or the same set grown
-        through ``add``/``add_words`` since priming (a stale count or
-        mutation version) — gets a fresh id and replaces it, so workers
-        are re-primed with current packed words instead of simulating a
-        truncated snapshot, and no earlier set stays pinned."""
-        version = getattr(patterns, "version", 0)
+        set is kept: a different set object gets a fresh id and replaces
+        it, so no earlier set stays pinned.  Pattern sets never change, so
+        the same object always needs the same priming."""
         entry = context.pattern
-        if entry is not None and entry[0] is patterns \
-                and entry[2] == patterns.count and entry[3] == version:
+        if entry is not None and entry[0] is patterns:
             return entry[1]
         pat_id = next(self._ids)
-        context.pattern = (patterns, pat_id, patterns.count, version)
+        context.pattern = (patterns, pat_id)
         return pat_id
 
     def _prime(self, worker, context, patterns, pat_id):
@@ -390,8 +383,9 @@ class WorkerPool:
             worker.contexts.add(context.ctx_id)
             self._bump("contexts_shipped")
         if worker.patterns.get(context.ctx_id) != pat_id:
+            # A plain dict: the set's read-only view does not pickle.
             worker.tasks.put(("patterns", context.ctx_id, pat_id,
-                              patterns.packed, patterns.count))
+                              dict(patterns.packed), patterns.count))
             worker.patterns[context.ctx_id] = pat_id
             self._bump("patterns_shipped")
 

@@ -453,6 +453,18 @@ class PodemEngine:
             self._assign(pi_net, pi_value)
 
 
+def _pack(netlist, assignments):
+    """:class:`PatternSet` of *assignments* ({input net: 0/1} each), in
+    order: one word over every input, one value per pattern."""
+    inputs = netlist.inputs
+    return PatternSet.from_columns(
+        netlist,
+        [(list(inputs), [sum(assignment[net] << i
+                             for i, net in enumerate(inputs))
+                         for assignment in assignments])],
+        len(assignments))
+
+
 def run_atpg(module, seed=0, random_patterns=256, random_batch=32,
              max_backtracks=500, fault_list=None, podem_fault_limit=None):
     """Full ATPG campaign over a :class:`HardwareModule`.
@@ -482,21 +494,20 @@ def run_atpg(module, seed=0, random_patterns=256, random_batch=32,
 
     emitted = 0
     while emitted < random_patterns and len(remaining):
-        batch = PatternSet(netlist)
-        for __ in range(min(random_batch, random_patterns - emitted)):
-            assignments.append({net: rng.getrandbits(1)
-                                for net in netlist.inputs})
-            batch.add(assignments[-1])
-        result = simulator.run(batch, remaining)
+        batch = [{net: rng.getrandbits(1) for net in netlist.inputs}
+                 for __ in range(min(random_batch,
+                                     random_patterns - emitted))]
+        assignments.extend(batch)
+        result = simulator.run(_pack(netlist, batch), remaining)
         newly = {}
         for fault, first in zip(result.fault_list, result.first_detection):
             if first is not None:
                 newly.setdefault(first, []).append(fault)
-        pattern_faults.extend(newly.get(k, []) for k in range(batch.count))
+        pattern_faults.extend(newly.get(k, []) for k in range(len(batch)))
         dropped = [f for group in newly.values() for f in group]
         detected.extend(dropped)
         remaining = remaining.without(dropped)
-        emitted += batch.count
+        emitted += len(batch)
 
     engine = PodemEngine(netlist, max_backtracks=max_backtracks)
     prover = UntestabilityProver(netlist, netlist.outputs)
@@ -526,9 +537,8 @@ def run_atpg(module, seed=0, random_patterns=256, random_batch=32,
             continue
         assignment = {net: cube.get(net, rng.getrandbits(1))
                       for net in netlist.inputs}
-        single = PatternSet(netlist)
-        single.add(assignment)
-        result = simulator.run(single, FaultList(netlist, sorted(alive, key=fault_sort_key)))
+        result = simulator.run(_pack(netlist, [assignment]),
+                               FaultList(netlist, sorted(alive, key=fault_sort_key)))
         confirmed = [f for f, first in zip(result.fault_list,
                                            result.first_detection)
                      if first is not None]
@@ -540,11 +550,7 @@ def run_atpg(module, seed=0, random_patterns=256, random_batch=32,
         detected.extend(confirmed)
         alive.difference_update(confirmed)
 
-    patterns = PatternSet.from_columns(
-        netlist,
-        [([net], [assignment[net] for assignment in assignments])
-         for net in netlist.inputs],
-        len(assignments))
-    return AtpgResult(patterns=patterns, pattern_faults=pattern_faults,
+    return AtpgResult(patterns=_pack(netlist, assignments),
+                      pattern_faults=pattern_faults,
                       detected=detected, untestable=untestable,
                       aborted=aborted, proofs=proofs)

@@ -177,8 +177,7 @@ class FaultSimulator:
             self._pruned = _never_pruned
             self._effect = self._effect_cone
         self._observed_targets = frozenset(self.observed)
-        self._good_cache = (None, None, None)
-        self._good_values_cache = (None, None, None)
+        self._good_values_cache = (None, None)
         self.stats = {"gates_evaluated": 0, "gates_skipped": 0,
                       "faults_inactive": 0, "faults_pruned": 0}
 
@@ -189,16 +188,6 @@ class FaultSimulator:
             self._cone_cache[net] = cone
         return cone
 
-    def _good_as_list(self, good):
-        """Net-indexed list view of a good-machine value dict (memoized on
-        the dict identity plus length — callers reuse one dict across many
-        faults, and a same-identity dict that gained entries is stale)."""
-        cached_good, cached_len, cached_list = self._good_cache
-        if cached_good is not good or cached_len != len(good):
-            cached_list = self._net_list(good)
-            self._good_cache = (good, len(good), cached_list)
-        return cached_list
-
     def _net_list(self, values):
         """Net-indexed list of a {net: packed value} dict."""
         net_list = [0] * self.netlist.num_nets
@@ -207,19 +196,17 @@ class FaultSimulator:
         return net_list
 
     def good_values(self, patterns):
-        """Good-machine net values for *patterns*, memoized on the pattern
-        set's identity **and mutation version** (the cache holds a strong
-        reference, so the identity stays valid; the version counter
-        invalidates it when the same set object gains patterns through
-        ``add``/``add_words`` after being cached).  Chunk-resumable runs
-        lean on this: a pooled worker simulating many fault chunks of one
-        pattern set pays the logic simulation once, not once per chunk."""
-        version = getattr(patterns, "version", 0)
-        cached_patterns, cached_version, cached_good = \
-            self._good_values_cache
-        if cached_patterns is not patterns or cached_version != version:
-            cached_good = self._logic.run(patterns)
-            self._good_values_cache = (patterns, version, cached_good)
+        """Net-indexed list of the good-machine values for *patterns*,
+        memoized on the pattern set's identity (a set never changes after
+        it is built, and the memo holds a strong reference, so the
+        identity stays valid).  Chunk-resumable runs lean on this: a
+        pooled worker simulating many fault chunks of one pattern set pays
+        the logic simulation once, not once per chunk, and so does a
+        pipeline whose stage 5 re-evaluates its stage-3 pattern set."""
+        cached_patterns, cached_good = self._good_values_cache
+        if cached_patterns is not patterns:
+            cached_good = self._net_list(self._logic.run(patterns))
+            self._good_values_cache = (patterns, cached_good)
         return cached_good
 
     def run(self, patterns, fault_list=None):
@@ -232,7 +219,7 @@ class FaultSimulator:
             return FaultSimResult(fault_list, 0, empty,
                                   [None] * len(fault_list))
         mask = patterns.mask
-        good = self._good_as_list(self.good_values(patterns))
+        good = self.good_values(patterns)
         observed = self._observed_targets
         pruned, effect_of = self._pruned, self._effect
         stats = self.stats

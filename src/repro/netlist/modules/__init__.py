@@ -40,22 +40,42 @@ class HardwareModule:
     output_words: dict
     params: dict = field(default_factory=dict)
 
-    def new_pattern_set(self):
-        """Fresh empty :class:`~repro.netlist.simulator.PatternSet`."""
-        return PatternSet(self.netlist)
+    def pattern_set(self, patterns):
+        """Pack per-pattern port values into a
+        :class:`~repro.netlist.simulator.PatternSet`.
 
-    def add_pattern(self, patterns, **port_values):
-        """Append a pattern given per-port integer values.
+        The patterns are transposed into one column of values per port and
+        packed at once by
+        :meth:`~repro.netlist.simulator.PatternSet.from_columns`.
 
-        Unlisted ports default to 0.  Returns the pattern index.
+        Args:
+            patterns: one sequence of ``(port, value)`` pairs per pattern,
+                in application order; a port a pattern does not list is 0
+                in that pattern.
+
+        Raises:
+            NetlistError: a port is unknown or listed twice in one
+                pattern, or a value is negative or does not fit its port.
         """
-        pairs = []
-        for port, value in port_values.items():
-            if port not in self.input_words:
-                raise NetlistError("{!r} has no input port {!r}".format(
-                    self.name, port))
-            pairs.append((self.input_words[port], value))
-        return patterns.add_words(pairs)
+        count = len(patterns)
+        columns = {}
+        for k, pairs in enumerate(patterns):
+            if len({port for port, __ in pairs}) != len(pairs):
+                raise NetlistError(
+                    "a port is assigned twice in pattern {}".format(k))
+            for port, value in pairs:
+                column = columns.get(port)
+                if column is None:
+                    if port not in self.input_words:
+                        raise NetlistError("{!r} has no input port {!r}"
+                                           .format(self.name, port))
+                    column = columns[port] = [0] * count
+                column[k] = value
+        return PatternSet.from_columns(
+            self.netlist,
+            [(self.input_words[port], column)
+             for port, column in columns.items()],
+            count)
 
     def simulate(self, patterns):
         """Fault-free simulation; returns port name -> list of values."""

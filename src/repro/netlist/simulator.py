@@ -5,16 +5,18 @@ net is an int whose bit ``k`` is the net's logic level under pattern ``k``.
 One bitwise operation per gate simulates the entire pattern set, which makes
 whole-program gate-level simulation tractable in pure Python.
 
-Bulk packing goes through numpy bit rows: :meth:`PatternSet.from_columns`
+Packing goes through numpy bit rows: :meth:`PatternSet.from_columns`
 packs each input's column of pattern bits with ``np.packbits`` and reads
 it back with ``int.from_bytes``, and :meth:`PatternSet.subset` unpacks
 every input into a bit row, gathers the kept columns and packs them again.
-Both are linear in the number of patterns; appending patterns one at a
-time with :meth:`PatternSet.add` is not (each call touches every input's
-whole integer).
+Both are linear in the number of patterns.  A :class:`PatternSet` never
+changes after it is built, so its identity is a sound memo key for
+anything derived from it (good-machine values, pooled-worker priming).
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,34 +58,43 @@ def _pack_row(bits):
 
 
 class PatternSet:
-    """A set of input assignments for a netlist.
+    """An immutable set of input assignments for a netlist.
 
     Stores, for each primary input net, a packed integer whose bit ``k`` is
-    the input's value in pattern ``k``.
+    the input's value in pattern ``k``.  Sets are built whole, by
+    :meth:`from_columns` or :meth:`subset`/:meth:`reversed`; assigning an
+    attribute or an entry of :attr:`packed` raises.
+
+    Args:
+        netlist: the netlist the patterns drive.
+        count: number of patterns.
+        packed: ``{input net: packed int}`` for every primary input (the
+            builders' result, taken as is); None gives *count* all-zero
+            patterns.
 
     Attributes:
-        version: mutation counter, bumped by every :meth:`add` (and hence
-            :meth:`add_words`).  Consumers that memoize derived state on a
-            pattern set's identity (good-machine values, pooled-worker
-            priming) key on ``(id, version)`` so a
-            set mutated after being cached is re-derived instead of
-            silently served stale.
+        packed: read-only ``{input net: packed int}`` view.
     """
 
-    def __init__(self, netlist, count=0):
+    def __init__(self, netlist, count=0, packed=None):
         netlist.finalize()
-        self.netlist = netlist
-        self.count = count
-        self.version = 0
-        self.packed = {net: 0 for net in netlist.inputs}
+        if packed is None:
+            packed = dict.fromkeys(netlist.inputs, 0)
+        object.__setattr__(self, "netlist", netlist)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "packed", MappingProxyType(packed))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a PatternSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a PatternSet is immutable")
 
     @classmethod
     def from_columns(cls, netlist, columns, count):
         """Build a set of *count* patterns column by column, in one pass.
 
-        Equivalent to calling :meth:`add_words` once per pattern ``k``
-        with ``[(word, values[k]) for word, values in columns]``, with the
-        same checks, but linear in *count*.
+        Pattern ``k`` applies ``values[k]`` to each word, LSB first.
 
         Args:
             netlist: the netlist the patterns drive.
@@ -99,8 +110,8 @@ class PatternSet:
                 values, or a value is negative or has set bits at
                 positions >= ``len(word)``.
         """
-        out = cls(netlist, count)
-        packed = out.packed
+        netlist.finalize()
+        packed = dict.fromkeys(netlist.inputs, 0)
         assigned = set()
         for word, values in columns:
             for net in word:
@@ -126,71 +137,24 @@ class PatternSet:
                     "word value {:#x} does not fit the {}-net word (extra "
                     "high bits would be dropped)".format(high, len(word)))
             for base in range(0, len(word), 64):
+                nets = word[base:base + 64]
                 limb = values if len(word) <= 64 else [
                     (value >> base) & _LIMB_MASK for value in values]
-                limb = np.array(limb, dtype=np.uint64)
-                for i, net in enumerate(word[base:base + 64]):
-                    bits = ((limb >> np.uint64(i)) & np.uint64(1)).astype(
-                        np.uint8)
-                    packed[net] = _pack_row(bits)
-        return out
+                # Row k of `bits` holds value k's 64 bits, LSB first; its
+                # transpose holds one row of pattern bits per net.
+                bits = np.unpackbits(
+                    np.array(limb, dtype="<u8").view(np.uint8).reshape(
+                        count, 8), axis=1, bitorder="little")
+                rows = np.packbits(bits[:, :len(nets)].T, axis=1,
+                                   bitorder="little")
+                for net, row in zip(nets, rows):
+                    packed[net] = int.from_bytes(row.tobytes(), "little")
+        return cls(netlist, count, packed)
 
     @property
     def mask(self):
         """Integer with one bit set per pattern."""
         return (1 << self.count) - 1
-
-    def add(self, assignment):
-        """Append one pattern.
-
-        Args:
-            assignment: dict mapping input net index -> 0/1.  Missing inputs
-                default to 0.
-
-        Returns:
-            The index of the added pattern.
-        """
-        index = self.count
-        for net, value in assignment.items():
-            if net not in self.packed:
-                raise NetlistError("net {} is not a primary input".format(net))
-            if value:
-                self.packed[net] |= 1 << index
-        self.count += 1
-        self.version += 1
-        return index
-
-    def add_words(self, word_values):
-        """Append one pattern given word-level values.
-
-        Args:
-            word_values: iterable of ``(word, value)`` pairs where *word* is a
-                list of input net indices (LSB first) and *value* the integer
-                to apply.
-
-        Raises:
-            NetlistError: *value* has set bits at positions >= ``len(word)``
-                (those bits have no net to land on and were previously
-                discarded silently), *value* is negative, or two words in
-                the same call assign the same net (the later word silently
-                overwrote the earlier one's bit).
-        """
-        assignment = {}
-        for word, value in word_values:
-            if value < 0:
-                raise NetlistError(
-                    "word value {} is negative".format(value))
-            if value >> len(word):
-                raise NetlistError(
-                    "word value {:#x} does not fit the {}-net word (extra "
-                    "high bits would be dropped)".format(value, len(word)))
-            for i, net in enumerate(word):
-                if net in assignment:
-                    raise NetlistError(
-                        "net {} is assigned by more than one word in the "
-                        "same pattern".format(net))
-                assignment[net] = (value >> i) & 1
-        return self.add(assignment)
 
     def value_of(self, net, pattern_index):
         """Value of input *net* under pattern *pattern_index*.
@@ -213,9 +177,8 @@ class PatternSet:
             IndexError: any index is negative or >= :attr:`count`.
         """
         indices = list(indices)
-        out = PatternSet(self.netlist, len(indices))
         if not indices:
-            return out
+            return PatternSet(self.netlist)
         low, high = min(indices), max(indices)
         if low < 0 or high >= self.count:
             bad = low if low < 0 else high
@@ -233,9 +196,9 @@ class PatternSet:
             np.frombuffer(raw, dtype=np.uint8).reshape(len(nets), num_bytes),
             axis=1, count=self.count, bitorder="little")
         kept = rows[:, np.array(indices, dtype=np.intp)]
-        for net, row in zip(nets, kept):
-            out.packed[net] = _pack_row(row)
-        return out
+        return PatternSet(self.netlist, len(indices),
+                          {net: _pack_row(row)
+                           for net, row in zip(nets, kept)})
 
     def reversed(self):
         """New :class:`PatternSet` with the pattern order reversed."""

@@ -23,8 +23,11 @@ from repro.faults import FaultList, FaultSimulator
 from repro.gpu.config import KernelConfig
 from repro.gpu.stimuli import StimulusRecord
 from repro.isa import assemble
-from repro.netlist import GateType, Netlist, PatternSet
+from repro.netlist import GateType, Netlist
+from repro.netlist.modules import HardwareModule
 from repro.stl.ptp import ParallelTestProgram
+
+from ..pattern_rows import add_words
 
 SOURCE = """
     S2R R0, TID_X
@@ -140,14 +143,14 @@ def test_compaction_summary_mentions_single_fault_sim(du_module, gpu):
 
 
 def _ported_module():
-    """A module-like namespace: three ports of 1, 5 and 9 input nets."""
+    """A module with three ports of 1, 5 and 9 input nets."""
     nl = Netlist("ports")
     words = {"op": nl.add_inputs(1, "op"), "a": nl.add_inputs(5, "a"),
              "b": nl.add_inputs(9, "b")}
     nl.mark_output(nl.add_gate(GateType.XOR, words["a"][0], words["b"][0]))
     nl.finalize()
-    return types.SimpleNamespace(name="ports", netlist=nl,
-                                 input_words=words)
+    return HardwareModule(name="ports", netlist=nl, input_words=words,
+                          output_words={})
 
 
 _WIDTHS = {"op": 1, "a": 5, "b": 9}
@@ -180,8 +183,8 @@ def _records_values(draw):
 @given(_records_values())
 @settings(max_examples=80, deadline=None)
 def test_to_pattern_set_matches_per_record_add_words(records_values):
-    """The column-wise ``to_pattern_set`` packs what one ``add_words`` per
-    record packs, with missing ports 0, and raises NetlistError exactly
+    """The column-wise ``to_pattern_set`` packs what the per-pattern
+    reference ``add_words`` packs record by record, with missing ports 0, and raises NetlistError exactly
     when that reference does (negative or too-wide value, a port listed
     twice in one record)."""
     module = _ported_module()
@@ -189,15 +192,15 @@ def test_to_pattern_set_matches_per_record_add_words(records_values):
                               values=tuple(values), thread=k % 4)
                for k, values in enumerate(records_values)]
     report = PatternReport(module, records)
-    reference = PatternSet(module.netlist)
+    reference = dict.fromkeys(module.netlist.inputs, 0)
     try:
-        for record in records:
-            reference.add_words([(module.input_words[port], value)
-                                 for port, value in record.values])
+        for k, record in enumerate(records):
+            add_words(reference, k, [(module.input_words[port], value)
+                                     for port, value in record.values])
     except NetlistError:
         with pytest.raises(NetlistError):
             report.to_pattern_set()
         return
     patterns = report.to_pattern_set()
-    assert patterns.count == reference.count == len(records)
-    assert patterns.packed == reference.packed
+    assert patterns.count == len(records)
+    assert dict(patterns.packed) == reference

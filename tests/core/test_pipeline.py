@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import CompactionPipeline, evaluate_fc, run_logic_tracing
+from repro.core import CompactionPipeline, evaluate_fc, run_logic_tracing, trace_and_pack
 from repro.errors import CompactionError
+from repro.faults import FaultSimulator
 from repro.stl import generate_cntrl, generate_imm, generate_mem, generate_rand
 
 
@@ -91,15 +92,18 @@ def test_sp_pipeline_uses_signature_observability(sp_module, gpu):
     pipeline = CompactionPipeline(sp_module, gpu=gpu)
     outcome = pipeline.compact(generate_rand(seed=4, num_sbs=10))
     assert outcome.original_fc is not None
-    evaluation = evaluate_fc(outcome.ptp, sp_module, gpu=gpu)
+    evaluation = evaluate_fc(trace_and_pack(outcome.ptp, sp_module, gpu),
+                             FaultSimulator(sp_module.netlist))
     assert evaluation.observability == "signature"
     assert evaluation.fc_percent == pytest.approx(outcome.original_fc)
 
 
 def test_signature_fc_not_above_module_fc(sp_module, gpu):
-    ptp = generate_rand(seed=4, num_sbs=10)
-    sig = evaluate_fc(ptp, sp_module, gpu=gpu, observability="signature")
-    mod = evaluate_fc(ptp, sp_module, gpu=gpu, observability="module")
+    traced = trace_and_pack(generate_rand(seed=4, num_sbs=10), sp_module,
+                            gpu)
+    simulator = FaultSimulator(sp_module.netlist)
+    sig = evaluate_fc(traced, simulator, observability="signature")
+    mod = evaluate_fc(traced, simulator, observability="module")
     assert sig.fc_percent <= mod.fc_percent
     assert sig.detected <= mod.detected
 
@@ -136,3 +140,72 @@ def test_outcome_percentages_consistent(du_pipeline):
         / outcome.original_size
     assert outcome.size_reduction_percent == pytest.approx(expected)
     assert outcome.compaction_seconds > 0
+
+
+
+def test_compaction_traces_each_ptp_once(du_module, gpu, monkeypatch):
+    """Stage 5 evaluates the original PTP from its stage-2 tracing: an
+    evaluated compaction runs the GPU model for the original and for the
+    compacted PTP, once each."""
+    import repro.core.tracing as tracing_mod
+
+    traced = []
+    run = tracing_mod.run_logic_tracing
+
+    def counting(ptp, module, gpu=None):
+        traced.append(ptp.name)
+        return run(ptp, module, gpu=gpu)
+
+    monkeypatch.setattr(tracing_mod, "run_logic_tracing", counting)
+    ptp = generate_imm(seed=9, num_sbs=6)
+    outcome = CompactionPipeline(du_module, gpu=gpu).compact(ptp)
+    assert traced == [ptp.name, outcome.compacted.name]
+
+
+def test_compaction_reads_each_tracing_once(du_module, gpu, monkeypatch,
+                                            tmp_path):
+    """Through an artifact cache, an evaluated compaction looks up the
+    original's and the compacted PTP's tracing once each; stage 5 reads
+    nothing back."""
+    from repro.exec.cache import ArtifactCache
+
+    looked_up = []
+    get = ArtifactCache.get
+
+    def counting(self, key):
+        looked_up.append(key)
+        return get(self, key)
+
+    monkeypatch.setattr(ArtifactCache, "get", counting)
+    ptp = generate_imm(seed=9, num_sbs=6)
+    pipeline = CompactionPipeline(du_module, gpu=gpu,
+                                  cache=ArtifactCache(str(tmp_path)))
+    outcome = pipeline.compact(ptp)
+    assert len(looked_up) == len(set(looked_up)) == 2
+    assert outcome.original_fc is not None
+
+
+def test_stage5_runs_on_the_pipeline_simulator(du_module, gpu, monkeypatch):
+    """Stage 3 and both stage-5 evaluations run on the pipeline's own
+    simulator: swapped to the cone reference, all three run on cone, with
+    the event engine's results."""
+    ptp = generate_imm(seed=9, num_sbs=6)
+    event = CompactionPipeline(du_module, gpu=gpu, jobs=1).compact(ptp)
+    pipeline = CompactionPipeline(du_module, gpu=gpu, jobs=1)
+    cone = pipeline.simulator = FaultSimulator(du_module.netlist,
+                                               engine="cone")
+    simulated = []
+    run = cone.run
+
+    def counting(patterns, fault_list=None):
+        simulated.append(patterns)
+        return run(patterns, fault_list)
+
+    monkeypatch.setattr(cone, "run", counting)
+    outcome = pipeline.compact(ptp)
+    assert len(simulated) == 3
+    assert simulated[0] is simulated[1]  # stage 5 reuses stage 3's set
+    assert outcome.fault_result.first_detection == \
+        event.fault_result.first_detection
+    assert outcome.original_detected == event.original_detected
+    assert outcome.compacted_detected == event.compacted_detected

@@ -78,6 +78,20 @@ def test_corrupt_entry_is_a_miss_and_deleted(cache):
     assert cache.stats["misses"] == 1
 
 
+def test_non_utf8_entry_is_a_corrupt_miss_and_deleted(cache):
+    """An entry that is not even UTF-8 text is corrupt like torn JSON:
+    deleted, counted, and a miss — not an error out of ``get``."""
+    key = "ef" + "2" * 62
+    cache.put(key, {"ok": True})
+    path = os.path.join(cache.directory, "ef", key + ".json")
+    with open(path, "wb") as handle:
+        handle.write(b"\xff\xfe\x00\x81")
+    assert cache.get(key) is None
+    assert not os.path.exists(path)
+    assert cache.stats["misses"] == 1
+    assert cache.stats["corrupt"] == 1
+
+
 def test_no_temp_files_left_behind(cache):
     for i in range(5):
         cache.put("{:064x}".format(i), {"i": i})

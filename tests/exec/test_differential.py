@@ -26,8 +26,10 @@ from repro.exec import RunMetrics, ShardedFaultScheduler
 from repro.faults import FaultList, FaultSimulator
 from repro.faults.dropping import FaultListReport
 from repro.faults.fault import enumerate_faults
-from repro.netlist import GateType, Netlist, PatternSet
+from repro.netlist import GateType, Netlist
 from repro.netlist.gates import ARITY
+
+from ..pattern_rows import pattern_set
 
 #: Explicit job counts force real pools even on this 1-CPU CI machine
 #: (resolve_jobs only clamps env/default-resolved counts).
@@ -50,10 +52,8 @@ def _random_netlist(rng, num_inputs=4, num_gates=18, num_outputs=3):
 
 
 def _random_patterns(rng, nl, count):
-    patterns = PatternSet(nl)
-    for __ in range(count):
-        patterns.add({net: rng.getrandbits(1) for net in nl.inputs})
-    return patterns
+    return pattern_set(nl, [{net: rng.getrandbits(1) for net in nl.inputs}
+                            for __ in range(count)])
 
 
 @pytest.fixture(scope="module")

@@ -32,6 +32,7 @@ from repro.faults import FaultList, FaultSimulator
 from repro.faults.fault import enumerate_faults
 from repro.netlist import PatternSet
 
+from ..pattern_rows import pattern_set
 from .test_differential import _random_netlist, _random_patterns
 
 
@@ -47,10 +48,7 @@ def _patterns_as_rows(patterns, nl):
 
 
 def _rows_to_patterns(rows, nl):
-    patterns = PatternSet(nl)
-    for row in rows:
-        patterns.add(row)
-    return patterns
+    return pattern_set(nl, rows)
 
 
 def _edit_rows(rng, nl, rows):

@@ -1,4 +1,4 @@
-"""Worker pool: persistence, pattern re-priming, death recovery, poison.
+"""Worker pool: persistence, pattern priming, death recovery, poison.
 
 The soak-style tests here kill workers (idle and mid-run) and feed the
 pool a poisoned chunk, asserting the merged results stay bit-identical to
@@ -20,7 +20,7 @@ from repro.errors import SchedulerError
 from repro.exec import RunMetrics, ShardedFaultScheduler, WorkerPool
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
 from repro.faults.dropping import FaultListReport
-from repro.netlist import GateType, Netlist, PatternSet
+from repro.netlist import PatternSet
 from repro.stl import generate_imm
 
 
@@ -54,37 +54,6 @@ def test_workers_and_priming_persist_across_runs(workload):
     assert metrics.pool["worker_init_seconds"] > 0.0
 
 
-@pytest.mark.parametrize("engine", ["cone", "event"])
-def test_pooled_workers_reprime_mutated_pattern_sets(engine):
-    # The worker-side pattern cache keys on (id, count, version): a set
-    # mutated between pooled runs must be re-shipped, not replayed.  sa0
-    # on the AND output is only detected by the (1, 1) pattern, which
-    # arrives in the second add.  Two faults fill the two-job minimum, so
-    # both runs go through the pool.
-    nl = Netlist("memo")
-    a = nl.add_input()
-    b = nl.add_input()
-    g = nl.add_gate(GateType.AND, a, b)
-    nl.mark_output(g)
-    nl.finalize()
-    fault_list = FaultList(nl, [StuckAtFault(g, 0, OUTPUT_PIN, 0),
-                                StuckAtFault(g, 0, OUTPUT_PIN, 1)])
-    simulator = FaultSimulator(nl, engine=engine)
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 0})
-    metrics = RunMetrics()
-    with ShardedFaultScheduler(jobs=2, min_faults_per_shard=1,
-                               metrics=metrics) as scheduler:
-        assert scheduler.run(simulator, patterns,
-                             fault_list).detection_words == [0b0, 0b1]
-        patterns.add({a: 1, b: 1})
-        assert scheduler.run(simulator, patterns,
-                             fault_list).detection_words == [0b10, 0b01]
-    assert metrics.groups["fault_sim"]["runs"] == 2
-    assert metrics.groups["fault_sim"]["chunks"] >= 2   # both pooled
-    assert metrics.pool["patterns_shipped"] >= 2
-
-
 def test_pool_keeps_only_the_latest_pattern_set(workload):
     """A pooled run on a new pattern set replaces the context's old set in
     the parent and in every worker, so the old set is not pinned."""
@@ -92,9 +61,7 @@ def test_pool_keeps_only_the_latest_pattern_set(workload):
 
     simulator, patterns, fault_list = workload
     sequential = simulator.run(patterns, fault_list)
-    old = PatternSet(simulator.netlist)
-    old.packed = dict(patterns.packed)
-    old.count = patterns.count
+    old = PatternSet(simulator.netlist, patterns.count, dict(patterns.packed))
     dead = weakref.ref(old)
     with WorkerPool(2) as pool:
         assert pool.simulate(simulator, old, fault_list)[0] == \

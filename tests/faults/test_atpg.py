@@ -14,10 +14,11 @@ from repro.analysis.experiments import SMOKE
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, PodemEngine, StuckAtFault, run_atpg
 from repro.faults.atpg import X, _eval3
 from repro.faults.fault import enumerate_faults
-from repro.netlist import GateType, Netlist, PatternSet
+from repro.netlist import GateType, Netlist
 from repro.netlist.modules import HardwareModule
 from repro.netlist.netlist import CONST0, CONST1
 
+from ..pattern_rows import pattern_set
 from .test_propagate import _random_netlist
 
 
@@ -36,8 +37,7 @@ def _chain():
 
 
 def _confirm(nl, fault, cube):
-    patterns = PatternSet(nl)
-    patterns.add({net: cube.get(net, 0) for net in nl.inputs})
+    patterns = pattern_set(nl, [{net: cube.get(net, 0) for net in nl.inputs}])
     result = FaultSimulator(nl).run(patterns, FaultList(nl, [fault]))
     return result.num_detected == 1
 

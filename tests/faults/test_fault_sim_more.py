@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import FaultSimError
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
-from repro.netlist import GateType, Netlist, PatternSet
+from repro.netlist import GateType, Netlist
+
+from ..pattern_rows import pattern_set
 
 
 def _nl():
@@ -19,8 +21,7 @@ def _nl():
 
 def test_coverage_with_custom_denominator():
     nl, a, b, x = _nl()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 0})
+    patterns = pattern_set(nl, [{a: 1, b: 0}])
     fl = FaultList(nl, [StuckAtFault(x, 0, OUTPUT_PIN, 0),
                         StuckAtFault(x, 0, OUTPUT_PIN, 1)])
     result = FaultSimulator(nl).run(patterns, fl)
@@ -31,8 +32,7 @@ def test_coverage_with_custom_denominator():
 
 def test_detected_and_undetected_views():
     nl, a, b, x = _nl()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 0})
+    patterns = pattern_set(nl, [{a: 1, b: 0}])
     fl = FaultList(nl, [StuckAtFault(x, 0, OUTPUT_PIN, 0),
                         StuckAtFault(x, 0, OUTPUT_PIN, 1)])
     result = FaultSimulator(nl).run(patterns, fl)
@@ -48,17 +48,15 @@ def test_bad_observed_output_rejected():
 
 def test_coverage_of_empty_list():
     nl, *_ = _nl()
-    patterns = PatternSet(nl)
-    patterns.add({})
+    patterns = pattern_set(nl, [{}])
     result = FaultSimulator(nl).run(patterns, FaultList(nl, []))
     assert result.coverage() == 0.0
 
 
 def test_identical_fault_lists_give_identical_results():
     nl1, a1, b1, x1 = _nl()
-    patterns = PatternSet(nl1)
-    for av, bv in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        patterns.add({a1: av, b1: bv})
+    patterns = pattern_set(nl1, [{a1: av, b1: bv} for av, bv in
+                                 ((0, 0), (1, 0), (0, 1), (1, 1))])
     sim = FaultSimulator(nl1)
     first = sim.run(patterns)
     second = sim.run(patterns)
@@ -67,9 +65,8 @@ def test_identical_fault_lists_give_identical_results():
 
 def test_detection_word_bits_within_pattern_mask():
     nl, a, b, x = _nl()
-    patterns = PatternSet(nl)
-    for av, bv in ((1, 1), (0, 0), (1, 0)):
-        patterns.add({a: av, b: bv})
+    patterns = pattern_set(nl, [{a: av, b: bv}
+                                for av, bv in ((1, 1), (0, 0), (1, 0))])
     result = FaultSimulator(nl).run(patterns)
     for word in result.detection_words:
         assert word >> patterns.count == 0

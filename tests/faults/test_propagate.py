@@ -16,8 +16,10 @@ from repro.errors import FaultSimError
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
 from repro.faults.fault import enumerate_faults
 from repro.faults.propagate import _OPCODE, EventDrivenEngine, PropagationSchedule, evaluate_opcode
-from repro.netlist import GateType, LogicSimulator, Netlist, PatternSet
+from repro.netlist import GateType, LogicSimulator, Netlist
 from repro.netlist.gates import ARITY, evaluate
+
+from ..pattern_rows import pattern_set
 
 
 def _random_netlist(rng, num_inputs=4, num_gates=18, num_outputs=3):
@@ -36,10 +38,8 @@ def _random_netlist(rng, num_inputs=4, num_gates=18, num_outputs=3):
 
 
 def _random_patterns(rng, nl, count):
-    patterns = PatternSet(nl)
-    for __ in range(count):
-        patterns.add({net: rng.getrandbits(1) for net in nl.inputs})
-    return patterns
+    return pattern_set(nl, [{net: rng.getrandbits(1) for net in nl.inputs}
+                            for __ in range(count)])
 
 
 def _pair(nl, observed=None):
@@ -180,8 +180,7 @@ def _dying_chain():
 
 def test_frontier_death_stops_the_walk_early():
     nl, a, b = _dying_chain()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 0})
+    patterns = pattern_set(nl, [{a: 1, b: 0}])
     engine = EventDrivenEngine(nl)
     good = LogicSimulator(nl).run(patterns)
     good_list = [0] * nl.num_nets
@@ -205,8 +204,7 @@ def test_gate_reading_the_seed_twice_is_evaluated_once():
     out = nl.add_gate(GateType.NAND, n, n)
     nl.mark_output(out)
     nl.finalize()
-    patterns = PatternSet(nl)
-    patterns.add({a: 0})
+    patterns = pattern_set(nl, [{a: 0}])
     good_list = [0] * nl.num_nets
     for net, value in LogicSimulator(nl).run(patterns).items():
         good_list[net] = value
@@ -219,8 +217,7 @@ def test_gate_reading_the_seed_twice_is_evaluated_once():
 
 def test_unexcited_fault_short_circuits():
     nl, a, b = _dying_chain()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 0})
+    patterns = pattern_set(nl, [{a: 1, b: 0}])
     engine = EventDrivenEngine(nl)
     good_list = [0] * nl.num_nets
     good_list[a] = 1
@@ -231,8 +228,7 @@ def test_unexcited_fault_short_circuits():
 
 def test_event_stats_report_skipped_gates_and_cone_reports_none():
     nl, a, b = _dying_chain()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 0})
+    patterns = pattern_set(nl, [{a: 1, b: 0}])
     fault_list = FaultList(nl, [StuckAtFault(a, None, OUTPUT_PIN, 0)])
     event, cone = _pair(nl)
     event.run(patterns, fault_list)
@@ -255,8 +251,7 @@ def test_unobservable_cone_head_is_pruned():
     nl.mark_output(x)
     nl.mark_output(z)
     nl.finalize()
-    patterns = PatternSet(nl)
-    patterns.add({a: 0})
+    patterns = pattern_set(nl, [{a: 0}])
     fault_list = FaultList(nl, [StuckAtFault(y, 1, OUTPUT_PIN, 1)])
     event = FaultSimulator(nl, observed_outputs=[x], engine="event")
     result = event.run(patterns, fault_list)
@@ -283,9 +278,9 @@ def test_fault_grouping_keeps_fault_list_order():
     g = nl.add_gate(GateType.AND, a, b)
     nl.mark_output(g)
     nl.finalize()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 1})
-    patterns.add({a: 0, b: 1})
+    patterns = pattern_set(nl, [
+        {a: 1, b: 1},
+        {a: 0, b: 1}])
     faults = [
         StuckAtFault(g, 0, OUTPUT_PIN, 0),   # head g
         StuckAtFault(a, None, OUTPUT_PIN, 1),  # head a

@@ -18,7 +18,8 @@ import pytest
 
 from repro.analysis.experiments import SMOKE
 from repro.core.fc_eval import evaluate_fc
-from repro.faults import FaultList
+from repro.core.tracing import trace_and_pack
+from repro.faults import FaultList, FaultSimulator
 from repro.netlist.modules import build_sp_core
 from repro.stl import generate_rand, generate_tpgen
 
@@ -39,9 +40,11 @@ def signature_digests(scale):
         atpg_podem_fault_limit=scale.tpgen_podem_fault_limit)
     rand = generate_rand(seed=scale.seed, num_sbs=scale.rand_sbs)
     fault_list = FaultList(sp_core.netlist)
+    simulator = FaultSimulator(sp_core.netlist)
     digests = {}
     for ptp in (tpgen, rand):
-        evaluation = evaluate_fc(ptp, sp_core, fault_list)
+        evaluation = evaluate_fc(trace_and_pack(ptp, sp_core), simulator,
+                                 fault_list)
         assert evaluation.observability == "signature"
         detected = [[f.net, f.gate, f.pin, f.stuck_at] for f in fault_list
                     if f in evaluation.detected]

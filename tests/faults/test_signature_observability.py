@@ -15,6 +15,8 @@ from repro.faults.fault_sim import _misr_detects
 from repro.netlist import GateType, LogicSimulator, Netlist, PatternSet
 from repro.stl.signature import difference_fold, misr_fold
 
+from ..pattern_rows import pattern_set
+
 
 def _identity_module(width=4):
     """result = a (BUF word): fault effects are fully transparent."""
@@ -32,9 +34,7 @@ def test_signature_detection_matches_brute_force():
     nl, a, out = _identity_module(width)
     rng = random.Random(7)
     values = [rng.getrandbits(width) for __ in range(40)]
-    patterns = PatternSet(nl)
-    for value in values:
-        patterns.add_words([(a, value)])
+    patterns = PatternSet.from_columns(nl, [(a, values)], len(values))
     # Two interleaved threads.
     sequences = {(0, t): [k for k in range(40) if k % 2 == t]
                  for t in range(2)}
@@ -83,9 +83,7 @@ def test_engineered_aliasing_case():
     # at positions 0 and 4 only (value bit0 = 1 there, 0 elsewhere).
     stream = [0b0001, 0b0000, 0b0010, 0b0100, 0b0001, 0b0000, 0b0110,
               0b1000]
-    patterns = PatternSet(nl)
-    for value in stream:
-        patterns.add_words([(a, value)])
+    patterns = PatternSet.from_columns(nl, [(a, stream)], len(stream))
     sequences = {(0, 0): list(range(len(stream)))}
     fault = StuckAtFault(a[0], None, OUTPUT_PIN, 0)
     fault_list = FaultList(nl, [fault])
@@ -112,10 +110,8 @@ def test_truncated_misr_ignores_result_bits_beyond_width():
     """
     width = 4
     nl, a, out = _identity_module(width)
-    patterns = PatternSet(nl)
     # Single excitation at the LAST sequence position (rotation 0).
-    patterns.add_words([(a, 0b0000)])
-    patterns.add_words([(a, 0b1000)])
+    patterns = PatternSet.from_columns(nl, [(a, [0b0000, 0b1000])], 2)
     sequences = {(0, 0): [0, 1]}
     fault = StuckAtFault(a[3], None, OUTPUT_PIN, 0)  # flips bit 3 only
     for engine in ("event", "cone"):
@@ -142,10 +138,9 @@ def test_truncated_misr_matches_brute_force_on_both_engines():
     misr_width = width - 1
     nl, a, out = _identity_module(width)
     rng = random.Random(21)
-    patterns = PatternSet(nl)
     count = 24
-    for __ in range(count):
-        patterns.add_words([(a, rng.getrandbits(width))])
+    patterns = PatternSet.from_columns(
+        nl, [(a, [rng.getrandbits(width) for __ in range(count)])], count)
     sequences = {(0, t): [k for k in range(count) if k % 2 == t]
                  for t in range(2)}
     fault_list = FaultList(nl)
@@ -179,8 +174,7 @@ def test_truncated_misr_matches_brute_force_on_both_engines():
 def test_unexcited_fault_is_sig_undetected():
     width = 4
     nl, a, out = _identity_module(width)
-    patterns = PatternSet(nl)
-    patterns.add_words([(a, 0b0001)])
+    patterns = PatternSet.from_columns(nl, [(a, [0b0001])], 1)
     fault = StuckAtFault(a[0], None, OUTPUT_PIN, 1)  # already 1: no effect
     fault_list = FaultList(nl, [fault])
     simulator = FaultSimulator(nl)
@@ -201,9 +195,9 @@ def test_fold_prunes_faults_that_reach_only_unfolded_outputs():
     nl.mark_output(result)
     nl.mark_output(side)
     nl.finalize()
-    patterns = PatternSet(nl)
-    patterns.add({a: 0})
-    patterns.add({a: 1})
+    patterns = pattern_set(nl, [
+        {a: 0},
+        {a: 1}])
     side_head = nl.gates[1].output
     fault_list = FaultList(nl, [StuckAtFault(side_head, 1, OUTPUT_PIN, 1)])
     simulator = FaultSimulator(nl)
@@ -256,10 +250,11 @@ def test_per_thread_fold_matches_brute_force(count, num_threads,
     """Both engines against the software MISR, with patterns spread over
     threads in any order and some patterns in no thread at all."""
     nl, a, b, out = _mixing_module()
-    patterns = PatternSet(nl)
-    for __ in range(count):
-        patterns.add_words([(a, data.draw(st.integers(0, 15))),
-                            (b, data.draw(st.integers(0, 15)))])
+    rows = [(data.draw(st.integers(0, 15)), data.draw(st.integers(0, 15)))
+            for __ in range(count)]
+    patterns = PatternSet.from_columns(
+        nl, [(a, [row[0] for row in rows]), (b, [row[1] for row in rows])],
+        count)
     owner = data.draw(st.lists(st.integers(-1, num_threads - 1),
                                min_size=count, max_size=count))
     sequences = {}
@@ -318,10 +313,9 @@ def test_only_the_last_thread_detects():
               0b1000]
     streams = [aliasing, aliasing, single]
     # Interleave: global pattern k is position k // 3 of thread k % 3.
-    patterns = PatternSet(nl)
-    for position in range(len(single)):
-        for stream in streams:
-            patterns.add_words([(a, stream[position])])
+    values = [stream[position] for position in range(len(single))
+              for stream in streams]
+    patterns = PatternSet.from_columns(nl, [(a, values)], len(values))
     sequences = {(0, t): list(range(t, patterns.count, 3))
                  for t in range(3)}
     fault_list = FaultList(nl, [StuckAtFault(a[0], None, OUTPUT_PIN, 0)])
@@ -343,9 +337,8 @@ def test_patterns_outside_every_thread_are_not_observed():
     module outputs see it."""
     width = 4
     nl, a, out = _identity_module(width)
-    patterns = PatternSet(nl)
-    for value in (0b0001, 0b0000, 0b0000):
-        patterns.add_words([(a, value)])
+    patterns = PatternSet.from_columns(nl, [(a, [0b0001, 0b0000, 0b0000])],
+                                       3)
     sequences = {(0, 0): [1], (0, 1): [2]}
     only_outside = StuckAtFault(a[0], None, OUTPUT_PIN, 0)
     everywhere = StuckAtFault(a[1], None, OUTPUT_PIN, 1)
@@ -372,9 +365,7 @@ def test_reach_prune_counts_once_per_fault_not_per_thread():
     nl.mark_output(result)
     nl.mark_output(side)
     nl.finalize()
-    patterns = PatternSet(nl)
-    for value in (0, 1, 0, 1):
-        patterns.add({a: value})
+    patterns = pattern_set(nl, [{a: value} for value in (0, 1, 0, 1)])
     sequences = {(0, t): [t] for t in range(4)}
     fault_list = FaultList(
         nl, [StuckAtFault(nl.gates[1].output, 1, OUTPUT_PIN, 1)])

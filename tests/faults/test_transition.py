@@ -9,7 +9,9 @@ from repro.faults import (
     TransitionFaultSimulator,
     enumerate_transition_faults,
 )
-from repro.netlist import GateType, Netlist, PatternSet
+from repro.netlist import GateType, Netlist
+
+from ..pattern_rows import pattern_set
 
 
 def _buf():
@@ -32,9 +34,7 @@ def test_enumeration_covers_both_edges():
 
 def test_rise_needs_zero_to_one_launch():
     nl, a, out = _buf()
-    patterns = PatternSet(nl)
-    for value in (0, 1, 1, 0, 1):
-        patterns.add({a: value})
+    patterns = pattern_set(nl, [{a: value} for value in (0, 1, 1, 0, 1)])
     sim = TransitionFaultSimulator(nl)
     result = sim.run(patterns, [TransitionFault(a, RISE)])
     # Launches at pattern 1 (0->1) and 4 (0->1); capture propagates.
@@ -44,9 +44,7 @@ def test_rise_needs_zero_to_one_launch():
 
 def test_fall_needs_one_to_zero_launch():
     nl, a, out = _buf()
-    patterns = PatternSet(nl)
-    for value in (1, 0, 0, 1, 0):
-        patterns.add({a: value})
+    patterns = pattern_set(nl, [{a: value} for value in (1, 0, 0, 1, 0)])
     sim = TransitionFaultSimulator(nl)
     result = sim.run(patterns, [TransitionFault(a, FALL)])
     assert result.detection_words[0] == 0b10010
@@ -55,8 +53,9 @@ def test_fall_needs_one_to_zero_launch():
 
 def test_first_pattern_never_detects():
     nl, a, out = _buf()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1})  # would need a predecessor for the launch
+    patterns = pattern_set(nl, [
+        {a: 1},  # would need a predecessor for the launch
+    ])
     sim = TransitionFaultSimulator(nl)
     result = sim.run(patterns, [TransitionFault(a, RISE)])
     assert result.first_detection == [None]
@@ -64,9 +63,7 @@ def test_first_pattern_never_detects():
 
 def test_constant_stream_detects_nothing():
     nl, a, out = _buf()
-    patterns = PatternSet(nl)
-    for __ in range(5):
-        patterns.add({a: 1})
+    patterns = pattern_set(nl, [{a: 1} for __ in range(5)])
     sim = TransitionFaultSimulator(nl)
     result = sim.run(patterns)
     assert result.num_detected == 0
@@ -80,11 +77,12 @@ def test_capture_must_propagate():
     out = nl.add_gate(GateType.AND, a, b)
     nl.mark_output(out)
     nl.finalize()
-    patterns = PatternSet(nl)
-    patterns.add({a: 0, b: 0})
-    patterns.add({a: 1, b: 0})  # launch without propagation (b blocks)
-    patterns.add({a: 0, b: 1})
-    patterns.add({a: 1, b: 1})  # launch AND capture
+    patterns = pattern_set(nl, [
+        {a: 0, b: 0},
+        {a: 1, b: 0},  # launch without propagation (b blocks)
+        {a: 0, b: 1},
+        {a: 1, b: 1},  # launch AND capture
+    ])
     sim = TransitionFaultSimulator(nl)
     result = sim.run(patterns, [TransitionFault(a, RISE)])
     assert result.detection_words[0] == 0b1000
@@ -101,11 +99,10 @@ def test_transition_coverage_below_stuck_at():
 
     sp = build_sp_core(8)
     rng = random.Random(5)
-    patterns = sp.new_pattern_set()
-    for __ in range(60):
-        sp.add_pattern(patterns, op=rng.randrange(15),
-                       cmp=rng.randrange(6), a=rng.getrandbits(8),
-                       b=rng.getrandbits(8), c=rng.getrandbits(8))
+    patterns = sp.pattern_set(
+        [[("op", rng.randrange(15)), ("cmp", rng.randrange(6)),
+          ("a", rng.getrandbits(8)), ("b", rng.getrandbits(8)),
+          ("c", rng.getrandbits(8))] for __ in range(60)])
     transition = TransitionFaultSimulator(sp.netlist).run(patterns)
     stems = [f for f in FaultList(sp.netlist) if f.is_stem()]
     stuck = FaultSimulator(sp.netlist).run(
@@ -160,9 +157,8 @@ def test_transition_detection_is_equivalent_stuck_at_gated_by_launch():
     nl.mark_output(g2)
     nl.finalize()
     rng = random.Random(11)
-    patterns = PatternSet(nl)
-    for __ in range(12):
-        patterns.add({net: rng.getrandbits(1) for net in nl.inputs})
+    patterns = pattern_set(nl, [{net: rng.getrandbits(1) for net in nl.inputs}
+                                for __ in range(12)])
 
     transition_faults = enumerate_transition_faults(nl)
     result = TransitionFaultSimulator(nl).run(patterns, transition_faults)

@@ -105,9 +105,7 @@ def test_sp_netlist_reproduces_architectural_results(kernel_run, sp_module):
         v = record.value_dict
         result, __ = sp_reference_result(SPOp(v["op"]), v["a"], v["b"],
                                          v["c"], CmpOp(v["cmp"]), W)
-        patterns = sp_module.new_pattern_set()
-        sp_module.add_pattern(patterns, **v)
-        out = sp_module.simulate(patterns)
+        out = sp_module.simulate(sp_module.pattern_set([record.values]))
         assert out["result"][0] == result
 
 

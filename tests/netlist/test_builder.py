@@ -23,10 +23,9 @@ def _eval(build, inputs_spec, cases):
         for net in word:
             nl.mark_output(net)
     nl.finalize()
-    patterns = PatternSet(nl)
-    for case in cases:
-        patterns.add_words([(words[name], value)
-                            for name, value in case.items()])
+    patterns = PatternSet.from_columns(
+        nl, [(word, [case.get(name, 0) for case in cases])
+             for name, word in words.items()], len(cases))
     return LogicSimulator(nl).run_words(patterns, outs)
 
 

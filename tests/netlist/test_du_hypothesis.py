@@ -13,9 +13,7 @@ from repro.netlist.modules.decoder_unit import reference_decode
 @given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=24))
 @settings(max_examples=30, deadline=None)
 def test_du_matches_reference_on_random_words(du_module, words):
-    patterns = du_module.new_pattern_set()
-    for word in words:
-        du_module.add_pattern(patterns, instr=word)
+    patterns = du_module.pattern_set([[("instr", word)] for word in words])
     out = du_module.simulate(patterns)
     for k, word in enumerate(words):
         ref = reference_decode(word)

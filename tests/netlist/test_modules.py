@@ -20,12 +20,8 @@ def test_du_dimensions(du_module):
 
 
 def test_du_decodes_every_opcode(du_module):
-    patterns = du_module.new_pattern_set()
-    words = []
-    for op in Op:
-        instr = Instruction(op)
-        words.append(encode(instr))
-        du_module.add_pattern(patterns, instr=words[-1])
+    words = [encode(Instruction(op)) for op in Op]
+    patterns = du_module.pattern_set([[("instr", word)] for word in words])
     out = du_module.simulate(patterns)
     for k, word in enumerate(words):
         ref = reference_decode(word)
@@ -34,8 +30,7 @@ def test_du_decodes_every_opcode(du_module):
 
 
 def test_du_illegal_opcode(du_module):
-    patterns = du_module.new_pattern_set()
-    du_module.add_pattern(patterns, instr=0xFE << 56)
+    patterns = du_module.pattern_set([[("instr", 0xFE << 56)]])
     out = du_module.simulate(patterns)
     assert out["valid"][0] == 0
     assert out["illegal"][0] == 1
@@ -45,8 +40,7 @@ def test_du_illegal_opcode(du_module):
 def test_du_predicate_guard_decode(du_module):
     instr = Instruction(Op.IADD, dst=1, src_a=2, src_b=3,
                         pred=Pred(2, True))
-    patterns = du_module.new_pattern_set()
-    du_module.add_pattern(patterns, instr=encode(instr))
+    patterns = du_module.pattern_set([[("instr", encode(instr))]])
     out = du_module.simulate(patterns)
     assert out["pred_en"][0] == 1
     assert out["pred_idx"][0] == 2
@@ -54,9 +48,8 @@ def test_du_predicate_guard_decode(du_module):
 
 
 def test_du_unit_one_hot_is_exclusive(du_module):
-    patterns = du_module.new_pattern_set()
-    for op in Op:
-        du_module.add_pattern(patterns, instr=encode(Instruction(op)))
+    patterns = du_module.pattern_set(
+        [[("instr", encode(Instruction(op)))] for op in Op])
     out = du_module.simulate(patterns)
     for k, op in enumerate(Op):
         unit_bits = out["unit"][k]
@@ -78,10 +71,8 @@ def test_du_matches_reference_on_program(du_module):
         COS R6, R5
         EXIT
     """)
-    patterns = du_module.new_pattern_set()
     words = [encode(i) for i in program]
-    for word in words:
-        du_module.add_pattern(patterns, instr=word)
+    patterns = du_module.pattern_set([[("instr", word)] for word in words])
     out = du_module.simulate(patterns)
     for k, word in enumerate(words):
         for port, expected in reference_decode(word).items():
@@ -101,9 +92,8 @@ def test_isa_to_spop_covers_all_sp_instructions():
        st.sampled_from(list(CmpOp)))
 @settings(max_examples=150, deadline=None)
 def test_sp_netlist_matches_reference(sp_module, op, a, b, c, cmp_op):
-    patterns = sp_module.new_pattern_set()
-    sp_module.add_pattern(patterns, op=op.value, cmp=cmp_op.value,
-                          a=a, b=b, c=c)
+    patterns = sp_module.pattern_set([[("op", op.value), ("cmp", cmp_op.value),
+                                       ("a", a), ("b", b), ("c", c)]])
     out = sp_module.simulate(patterns)
     result, pred = sp_reference_result(op, a, b, c, cmp_op, W)
     assert out["result"][0] == result
@@ -111,8 +101,7 @@ def test_sp_netlist_matches_reference(sp_module, op, a, b, c, cmp_op):
 
 
 def test_sp_undefined_opcode_yields_zero(sp_module):
-    patterns = sp_module.new_pattern_set()
-    sp_module.add_pattern(patterns, op=15, a=0xAB, b=0x1)
+    patterns = sp_module.pattern_set([[("op", 15), ("a", 0xAB), ("b", 0x1)]])
     out = sp_module.simulate(patterns)
     assert out["result"][0] == 0
     assert out["pred"][0] == 0
@@ -120,10 +109,11 @@ def test_sp_undefined_opcode_yields_zero(sp_module):
 
 def test_sp_shift_flush_semantics(sp_module):
     # Shift amounts at/above the width flush the barrel shifter output.
-    patterns = sp_module.new_pattern_set()
-    sp_module.add_pattern(patterns, op=SPOp.SHL.value, a=0xFF, b=8)
-    sp_module.add_pattern(patterns, op=SPOp.SHR.value, a=0xFF, b=9)
-    sp_module.add_pattern(patterns, op=SPOp.SHL.value, a=0xFF, b=3)
+    patterns = sp_module.pattern_set([
+        [("op", SPOp.SHL.value), ("a", 0xFF), ("b", 8)],
+        [("op", SPOp.SHR.value), ("a", 0xFF), ("b", 9)],
+        [("op", SPOp.SHL.value), ("a", 0xFF), ("b", 3)],
+    ])
     out = sp_module.simulate(patterns)
     assert out["result"][0] == 0
     assert out["result"][1] == 0
@@ -131,9 +121,9 @@ def test_sp_shift_flush_semantics(sp_module):
 
 
 def test_sp_setp_only_raises_pred(sp_module):
-    patterns = sp_module.new_pattern_set()
-    sp_module.add_pattern(patterns, op=SPOp.SETP.value,
-                          cmp=CmpOp.EQ.value, a=5, b=5)
+    patterns = sp_module.pattern_set([[("op", SPOp.SETP.value),
+                                       ("cmp", CmpOp.EQ.value),
+                                       ("a", 5), ("b", 5)]])
     out = sp_module.simulate(patterns)
     assert out["pred"][0] == 1
     assert out["result"][0] == 0
@@ -149,27 +139,24 @@ def test_sfu_dimensions(sfu_module):
 @given(st.integers(0, 5), st.integers(0, 255))
 @settings(max_examples=100, deadline=None)
 def test_sfu_netlist_matches_reference(sfu_module, func, x):
-    patterns = sfu_module.new_pattern_set()
-    sfu_module.add_pattern(patterns, func=func, x=x)
+    patterns = sfu_module.pattern_set([[("func", func), ("x", x)]])
     out = sfu_module.simulate(patterns)
     assert out["y"][0] == sfu_reference_result(func, x, W)
 
 
 def test_sfu_distinct_functions_differ(sfu_module):
     """RCP and SIN tables must actually differ (non-degenerate ROM)."""
-    patterns = sfu_module.new_pattern_set()
-    for func in range(6):
-        sfu_module.add_pattern(patterns, func=func, x=0x40)
+    patterns = sfu_module.pattern_set(
+        [[("func", func), ("x", 0x40)] for func in range(6)])
     out = sfu_module.simulate(patterns)
     assert len(set(out["y"])) > 2
 
 
 def test_sfu_segments_differ(sfu_module):
     """Different input segments hit different coefficients."""
-    patterns = sfu_module.new_pattern_set()
     step = 1 << (W - SEG_BITS)
-    for seg in range(1 << SEG_BITS):
-        sfu_module.add_pattern(patterns, func=FUNC_CODES["RCP"],
-                               x=seg * step)
+    patterns = sfu_module.pattern_set(
+        [[("func", FUNC_CODES["RCP"]), ("x", seg * step)]
+         for seg in range(1 << SEG_BITS)])
     out = sfu_module.simulate(patterns)
     assert len(set(out["y"])) > 2

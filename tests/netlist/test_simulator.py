@@ -8,6 +8,8 @@ from repro.netlist import CONST0, CONST1, GateType, LogicSimulator, Netlist, Pat
 from repro.netlist.gates import ARITY, evaluate
 from repro.netlist.simulator import iter_set_bits
 
+from ..pattern_rows import add_words, pattern_set
+
 
 @pytest.mark.parametrize("gate_type,table", [
     (GateType.BUF, {(0,): 0, (1,): 1}),
@@ -39,11 +41,8 @@ def _xor_netlist():
 
 def test_pattern_set_add_and_mask():
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
-    assert patterns.mask == 0
-    patterns.add({a: 1})
-    patterns.add({a: 0, b: 1})
-    patterns.add({a: 1, b: 1})
+    assert PatternSet(nl).mask == 0
+    patterns = pattern_set(nl, [{a: 1}, {a: 0, b: 1}, {a: 1, b: 1}])
     assert patterns.count == 3
     assert patterns.mask == 0b111
     assert patterns.value_of(a, 0) == 1
@@ -53,17 +52,14 @@ def test_pattern_set_add_and_mask():
 
 def test_pattern_set_rejects_non_input_nets():
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
     with pytest.raises(NetlistError):
-        patterns.add({out: 1})
+        pattern_set(nl, [{out: 1}])
 
 
 def test_simulation_packs_all_patterns():
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
     cases = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for av, bv in cases:
-        patterns.add({a: av, b: bv})
+    patterns = pattern_set(nl, [{a: av, b: bv} for av, bv in cases])
     values = LogicSimulator(nl).run(patterns)
     for k, (av, bv) in enumerate(cases):
         assert (values[out] >> k) & 1 == (av ^ bv)
@@ -73,18 +69,17 @@ def test_simulation_packs_all_patterns():
 
 def test_run_words():
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1, b: 0})
-    patterns.add({a: 1, b: 1})
+    patterns = pattern_set(nl, [
+        {a: 1, b: 0},
+        {a: 1, b: 1}])
     results = LogicSimulator(nl).run_words(patterns, {"out": [out]})
     assert results["out"] == [1, 0]
 
 
 def test_subset_and_reversed():
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
-    for av, bv in [(1, 0), (0, 1), (1, 1), (0, 0)]:
-        patterns.add({a: av, b: bv})
+    patterns = pattern_set(nl, [{a: av, b: bv} for av, bv in
+                                [(1, 0), (0, 1), (1, 1), (0, 0)]])
     rev = patterns.reversed()
     assert rev.count == 4
     assert rev.value_of(a, 0) == patterns.value_of(a, 3)
@@ -98,17 +93,16 @@ def test_subset_and_reversed():
 def test_cross_netlist_pattern_rejected():
     nl1, a1, b1, _ = _xor_netlist()
     nl2, *_ = _xor_netlist()
-    patterns = PatternSet(nl1)
-    patterns.add({a1: 1})
+    patterns = pattern_set(nl1, [{a1: 1}])
     with pytest.raises(NetlistError):
         LogicSimulator(nl2).run(patterns)
 
 
 def test_value_of_rejects_out_of_range_indices():
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1})
-    patterns.add({a: 0, b: 1})
+    patterns = pattern_set(nl, [
+        {a: 1},
+        {a: 0, b: 1}])
     with pytest.raises(IndexError):
         patterns.value_of(a, 2)
     with pytest.raises(IndexError):
@@ -119,8 +113,7 @@ def test_value_of_rejects_out_of_range_indices():
 
 def test_subset_rejects_out_of_range_indices():
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
-    patterns.add({a: 1})
+    patterns = pattern_set(nl, [{a: 1}])
     with pytest.raises(IndexError):
         patterns.subset([0, 1])
     with pytest.raises(IndexError):
@@ -136,32 +129,24 @@ def test_iter_set_bits_walks_ascending_and_rejects_negatives():
         list(iter_set_bits(-1))
 
 
-def test_pattern_set_version_counts_every_mutation():
+def test_pattern_set_is_immutable():
+    """A set never changes after it is built: assigning an attribute or a
+    packed word raises, for built and for derived sets alike."""
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
-    assert patterns.version == 0
-    patterns.add({a: 1})
-    patterns.add_words([([a, b], 0b10)])
-    assert patterns.version == 2
-    assert patterns.subset([0]).version == 0  # fresh set, fresh counter
+    built = pattern_set(nl, [{a: 1}, {b: 1}])
+    for patterns in (built, built.subset([1]), built.reversed(),
+                     PatternSet(nl)):
+        count, words = patterns.count, dict(patterns.packed)
+        with pytest.raises(AttributeError):
+            patterns.count = 5
+        with pytest.raises(AttributeError):
+            patterns.packed = {}
+        with pytest.raises(AttributeError):
+            del patterns.netlist
+        with pytest.raises(TypeError):
+            patterns.packed[a] = 0b1
+        assert patterns.count == count and dict(patterns.packed) == words
 
-
-def test_add_words_applies_lsb_first_and_validates():
-    nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
-    patterns.add_words([([a, b], 0b01)])
-    assert patterns.value_of(a, 0) == 1
-    assert patterns.value_of(b, 0) == 0
-    with pytest.raises(NetlistError, match="does not fit"):
-        patterns.add_words([([a, b], 0b100)])
-    with pytest.raises(NetlistError, match="negative"):
-        patterns.add_words([([a, b], -1)])
-    with pytest.raises(NetlistError, match="more than one word"):
-        patterns.add_words([([a], 1), ([b, a], 0b10)])
-    # Failed calls must not half-apply: only the first valid pattern
-    # landed.
-    assert patterns.count == 1
-    assert patterns.version == 1
 
 
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1,
@@ -172,9 +157,8 @@ def test_subset_repacking_matches_per_bit_reference(cases, data):
     """The linear shift/mask repack equals the naive per-(index, net)
     probe loop, including duplicated and reordered indices."""
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
-    for av, bv in cases:
-        patterns.add({a: int(av), b: int(bv)})
+    patterns = pattern_set(nl, [{a: int(av), b: int(bv)}
+                                for av, bv in cases])
     indices = data.draw(st.lists(
         st.integers(0, patterns.count - 1), min_size=0, max_size=30))
     sub = patterns.subset(indices)
@@ -193,9 +177,8 @@ def test_subset_repacking_matches_per_bit_reference(cases, data):
 def test_run_words_matches_per_bit_reference(cases):
     """The set-bit transposition equals probing every (pattern, bit)."""
     nl, a, b, out = _xor_netlist()
-    patterns = PatternSet(nl)
-    for av, bv in cases:
-        patterns.add({a: int(av), b: int(bv)})
+    patterns = pattern_set(nl, [{a: int(av), b: int(bv)}
+                                for av, bv in cases])
     sim = LogicSimulator(nl)
     words = {"out": [out], "echo": [a, b]}
     results = sim.run_words(patterns, words)
@@ -226,14 +209,12 @@ def test_parallel_simulation_matches_serial(cases):
     nl.finalize()
     sim = LogicSimulator(nl)
 
-    batch = PatternSet(nl)
-    for av, bv, cv in cases:
-        batch.add({a: int(av), b: int(bv), c: int(cv)})
+    batch = pattern_set(nl, [{a: int(av), b: int(bv), c: int(cv)}
+                             for av, bv, cv in cases])
     packed = sim.run(batch)[g3]
 
     for k, (av, bv, cv) in enumerate(cases):
-        single = PatternSet(nl)
-        single.add({a: int(av), b: int(bv), c: int(cv)})
+        single = pattern_set(nl, [{a: int(av), b: int(bv), c: int(cv)}])
         assert sim.run(single)[g3] == (packed >> k) & 1
 
 
@@ -251,10 +232,12 @@ def _wide_netlist(num_inputs=72):
 
 
 def _add_words_reference(nl, columns, count):
-    """The per-pattern packing ``from_columns`` replaces."""
-    reference = PatternSet(nl)
+    """``{input net: packed int}`` of *columns* packed one pattern at a
+    time by the per-pattern reference ``add_words``."""
+    reference = dict.fromkeys(nl.inputs, 0)
     for k in range(count):
-        reference.add_words([(word, values[k]) for word, values in columns])
+        add_words(reference, k, [(word, values[k])
+                                 for word, values in columns])
     return reference
 
 
@@ -296,8 +279,8 @@ def _column_cases(draw):
 @given(_column_cases())
 @settings(max_examples=80, deadline=None)
 def test_from_columns_matches_per_pattern_add_words(case):
-    """``from_columns`` packs what one ``add_words`` per pattern packs, and
-    raises NetlistError exactly when that reference does."""
+    """``from_columns`` packs what the per-pattern reference ``add_words``
+    packs, and raises NetlistError exactly when that reference does."""
     nl, columns, count = case
     try:
         reference = _add_words_reference(nl, columns, count)
@@ -306,15 +289,16 @@ def test_from_columns_matches_per_pattern_add_words(case):
             PatternSet.from_columns(nl, columns, count)
         return
     packed = PatternSet.from_columns(nl, columns, count)
-    assert packed.count == reference.count == count
-    assert packed.packed == reference.packed
+    assert packed.count == count
+    assert dict(packed.packed) == reference
 
 
 def test_from_columns_checks_each_case():
     nl, ins, side = _wide_netlist()
     word = ins[:4]
-    assert PatternSet.from_columns(nl, [(word, [5, 0])], 2).packed[ins[0]] \
-        == 0b01
+    packed = PatternSet.from_columns(nl, [(word, [5, 0])], 2).packed
+    # LSB first: 5 = 0b101 sets word[0] and word[2] in pattern 0.
+    assert [packed[net] for net in word] == [0b01, 0, 0b01, 0]
     with pytest.raises(NetlistError, match="not a primary input"):
         PatternSet.from_columns(nl, [([side], [1])], 1)
     with pytest.raises(NetlistError, match="more than one word"):
@@ -334,7 +318,7 @@ def test_from_columns_packs_words_wider_than_a_limb():
     value = (1 << 69) | (1 << 64) | (1 << 63) | 1
     columns = [(ins[:70], [value, 0, value >> 1])]
     packed = PatternSet.from_columns(nl, columns, 3)
-    assert packed.packed == _add_words_reference(nl, columns, 3).packed
+    assert dict(packed.packed) == _add_words_reference(nl, columns, 3)
     assert packed.value_of(ins[69], 0) == 1
     assert packed.value_of(ins[68], 2) == 1
 

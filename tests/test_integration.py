@@ -79,11 +79,15 @@ def test_tables_equal_fresh_evaluations(experiment, outcomes):
     Table I FC and duration equals a fresh forward-pattern evaluation of
     the original PTP, and every combined FC equals the union over fresh
     evaluations of the originals and the compacted PTPs."""
-    from repro.core import combined_fc, evaluate_fc
+    from repro.core import combined_fc, evaluate_fc, trace_and_pack
+    from repro.faults import FaultSimulator
 
     def fresh(ptp):
-        return evaluate_fc(ptp, experiment.modules[ptp.target],
-                           gpu=experiment.gpu, reverse_patterns=False)
+        module = experiment.modules[ptp.target]
+        return evaluate_fc(
+            trace_and_pack(ptp, module, experiment.gpu,
+                           reverse_patterns=False),
+            FaultSimulator(module.netlist))
 
     features = experiment.table1_features()
     originals = {name: fresh(experiment.stl[name]) for name in outcomes}

@@ -19,6 +19,8 @@ from repro.netlist.gates import ARITY
 from repro.netlist.netlist import CONST0, CONST1
 from repro.testability import cross_check_pruned
 
+from ..pattern_rows import pattern_set
+
 
 def _random_netlist(rng, num_inputs=4, num_gates=18, num_outputs=3):
     """Like the propagate-test generator, but feeds CONST0/CONST1 into
@@ -43,10 +45,8 @@ def _random_netlist(rng, num_inputs=4, num_gates=18, num_outputs=3):
 
 
 def _random_patterns(rng, nl, count):
-    patterns = PatternSet(nl)
-    for __ in range(count):
-        patterns.add({net: rng.getrandbits(1) for net in nl.inputs})
-    return patterns
+    return pattern_set(nl, [{net: rng.getrandbits(1) for net in nl.inputs}
+                            for __ in range(count)])
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -84,9 +84,7 @@ def test_cross_check_raises_on_an_unsound_prune():
     out = nl.add_gate(GateType.BUF, a)
     nl.mark_output(out)
     nl.finalize()
-    patterns = PatternSet(nl)
-    patterns.add({a: 0})
-    patterns.add({a: 1})
+    patterns = pattern_set(nl, [{a: 0}, {a: 1}])
     detectable = FaultList(nl)[0:2]
     with pytest.raises(TestabilityError):
         cross_check_pruned(nl, patterns, detectable)
@@ -99,8 +97,7 @@ def test_cross_check_is_a_noop_without_faults_or_patterns():
     nl.finalize()
     assert cross_check_pruned(nl, PatternSet(nl), list(FaultList(nl))) == \
         len(FaultList(nl))
-    patterns = PatternSet(nl)
-    patterns.add({a: 1})
+    patterns = pattern_set(nl, [{a: 1}])
     assert cross_check_pruned(nl, patterns, []) == 0
 
 
