@@ -29,6 +29,7 @@ from repro.core.labeling import ESSENTIAL
 from repro.core.reduction import segment_small_blocks
 from repro.faults.fault_sim import FaultSimulator
 from repro.isa.instruction import Program
+from repro.netlist.simulator import iter_set_bits
 from repro.stl import generate_imm, generate_sfu_imm
 
 
@@ -38,16 +39,21 @@ def test_labeling_requires_fault_dropping(benchmark, experiment):
     ptp = generate_imm(seed=13, num_sbs=40)
 
     def run():
-        tracing = run_logic_tracing(ptp, module, gpu=gpu)
-        patterns = tracing.pattern_report.to_pattern_set()
-        result = FaultSimulator(module.netlist).run(patterns)
+        traced = trace_and_pack(ptp, module, gpu)
+        simulator = FaultSimulator(module.netlist)
+        # Without dropping a fault counts at every detecting pattern.
+        all_detections = [0] * traced.patterns.count
+        for word in simulator.detection_words(traced.patterns):
+            for k in iter_set_bits(word):
+                all_detections[k] += 1
         partition = partition_ptp(ptp)
         with_drop = reduce_ptp(label_instructions(
-            ptp, tracing.trace, tracing.pattern_report, result,
-            dropping=True), partition)
+            ptp, traced.tracing.trace, traced.report,
+            simulator.run(traced.patterns).detections_per_pattern()),
+            partition)
         without_drop = reduce_ptp(label_instructions(
-            ptp, tracing.trace, tracing.pattern_report, result,
-            dropping=False), partition)
+            ptp, traced.tracing.trace, traced.report, all_detections),
+            partition)
         return with_drop, without_drop
 
     with_drop, without_drop = run_once(benchmark, run)
@@ -108,12 +114,12 @@ def test_sb_granularity_preserves_certified_patterns(benchmark, experiment):
                                    atpg_max_backtracks=5)
 
     def run():
-        tracing = run_logic_tracing(ptp, module, gpu=gpu)
-        patterns = tracing.pattern_report.to_pattern_set()
-        result = FaultSimulator(module.netlist).run(patterns)
+        traced = trace_and_pack(ptp, module, gpu)
+        result = FaultSimulator(module.netlist).run(traced.patterns)
         partition = partition_ptp(ptp)
-        labeled = label_instructions(ptp, tracing.trace,
-                                     tracing.pattern_report, result)
+        labeled = label_instructions(ptp, traced.tracing.trace,
+                                     traced.report,
+                                     result.detections_per_pattern())
         sb_level = reduce_ptp(labeled, partition)
 
         # Instruction-granular removal: drop every unessential instruction

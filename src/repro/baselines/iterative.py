@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ..core.partition import partition_ptp
 from ..core.reduction import segment_small_blocks
-from ..core.tracing import run_logic_tracing
+from ..core.tracing import trace_and_pack
 from ..faults.fault import FaultList
 from ..faults.fault_sim import FaultSimulator
 from ..gpu.gpu import Gpu
@@ -91,10 +91,9 @@ def _rebuild(ptp, instructions, keep, suffix):
 
 
 def _measure(ptp, module, simulator, fault_list, gpu):
-    tracing = run_logic_tracing(ptp, module, gpu=gpu)
-    patterns = tracing.pattern_report.to_pattern_set()
-    result = simulator.run(patterns, fault_list)
-    return tracing.cycles, set(result.detected_faults)
+    traced = trace_and_pack(ptp, module, gpu)
+    result = simulator.run(traced.patterns, fault_list)
+    return traced.tracing.cycles, set(result.detected_faults)
 
 
 def compact_iteratively(ptp, module, fault_list=None, gpu=None,

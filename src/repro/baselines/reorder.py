@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..core.partition import partition_ptp
 from ..core.reduction import segment_small_blocks
-from ..core.tracing import run_logic_tracing
+from ..core.tracing import trace_and_pack
 from ..faults.fault import FaultList
 from ..faults.fault_sim import FaultSimulator
 from ..gpu.gpu import Gpu
@@ -60,10 +60,9 @@ def compact_by_reordering(ptp, module, fault_list=None, gpu=None):
     partition = partition_ptp(ptp)
     small_blocks = segment_small_blocks(ptp, partition)
 
-    tracing = run_logic_tracing(ptp, module, gpu=gpu)
-    report = tracing.pattern_report
-    patterns = report.to_pattern_set()
-    result = simulator.run(patterns, fault_list)
+    traced = trace_and_pack(ptp, module, gpu)
+    tracing, report = traced.tracing, traced.report
+    result = simulator.run(traced.patterns, fault_list)
 
     # Attribute first detections to SBs through the cc -> pc -> SB chain.
     cc_to_pc = {}

@@ -48,32 +48,30 @@ class LabeledPtp:
         return len(self.labels) - self.num_essential
 
 
-def label_instructions(ptp, trace, pattern_report, fault_result,
-                       dropping=True):
+def label_instructions(ptp, trace, pattern_report, detections):
     """Run the Fig. 2 labeling algorithm.
 
     Args:
         ptp: the PTP under compaction.
         trace: tracing report (list of TraceRecord) from stage 2.
         pattern_report: the module PatternReport from stage 2 — its pattern
-            order must match *fault_result*'s pattern indices.
-        fault_result: :class:`~repro.faults.fault_sim.FaultSimResult` from
-            the stage-3 optimized fault simulation.
-        dropping: count each fault only at its first detecting pattern
-            (the paper's configuration).
+            order must match *detections*.
+        detections: the Fault Sim Report's per-pattern detected-fault
+            counts (:meth:`FaultSimResult.detections_per_pattern
+            <repro.faults.fault_sim.FaultSimResult.detections_per_pattern>`
+            of the stage-3 fault simulation with fault dropping).
 
     Returns:
         A :class:`LabeledPtp`.
     """
-    if fault_result.pattern_count != pattern_report.count:
+    if len(detections) != pattern_report.count:
         raise CompactionError(
             "fault sim saw {} patterns but the report has {}".format(
-                fault_result.pattern_count, pattern_report.count))
+                len(detections), pattern_report.count))
 
     # FSR_cc: clock cycles whose pattern detects at least one fault.
-    detecting = fault_result.detecting_patterns(dropping=dropping)
-    cc_of_pattern = pattern_report.cc_of_pattern()
-    detecting_ccs = {cc_of_pattern[k] for k in detecting}
+    detecting_ccs = {cc for cc, count in zip(pattern_report.cc_of_pattern(),
+                                             detections) if count}
 
     size = len(ptp.program)
     labels = [UNESSENTIAL] * size

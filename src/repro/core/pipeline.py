@@ -247,14 +247,14 @@ class CompactionPipeline:
     def _simulate(self, ptp, patterns, fault_list):
         """The module-observability fault simulation of *ptp*'s
         *patterns*, for stage 3 and stage 5 alike: an incremental restore
-        from the (PTP, module, engine) fault-state record when the
-        incremental layer is on, else a scheduler run."""
+        from the (PTP, module, engine) fault-state record (re-simulating
+        inline) when the incremental layer is on, else a scheduler run."""
         if self._incremental is None:
             return self.scheduler.run(self.simulator, patterns, fault_list)
         key = self.cache.fault_state_key(ptp.name, self.module,
                                          self.simulator.engine)
         result, __info = self._incremental.run(
-            self.scheduler, self.simulator, patterns, fault_list, key)
+            self.simulator, patterns, fault_list, key)
         return result
 
     def compact(self, ptp, reverse_patterns=False, evaluate=True,
@@ -325,7 +325,7 @@ class CompactionPipeline:
             if self.metrics is not None:
                 self.metrics.bump("static.cross_checked", checked)
         labeled = label_instructions(ptp, tracing.trace, traced.report,
-                                     fault_result)
+                                     fault_result.detections_per_pattern())
         # Stage 4: reduction.
         hook("reduction")
         with self._timed("reduction"):

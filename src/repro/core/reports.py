@@ -19,13 +19,13 @@ from ..isa.disassembler import format_instruction
 from .labeling import ESSENTIAL
 
 
-def write_fault_sim_report(fault_result, pattern_report, dropping=True):
+def write_fault_sim_report(fault_result, pattern_report):
     """Render the stage-3 Fault Sim Report.
 
     One line per pattern: pattern index, clock cycle, number of faults
-    detected at that pattern (first detections when *dropping*).
+    first detected at that pattern.
     """
-    counts = fault_result.detections_per_pattern(dropping=dropping)
+    counts = fault_result.detections_per_pattern()
     ccs = pattern_report.cc_of_pattern()
     lines = ["#FSR module={} patterns={} faults={} detected={}".format(
         pattern_report.module.name, fault_result.pattern_count,

@@ -20,10 +20,11 @@ campaign scope):
   support.  A fault is **restored** — its detection word rebuilt exactly,
   without simulation — when its group's support nets match and every
   current projected value already appears in the record; the remainder is
-  **invalidated** and re-simulated through the ordinary scheduler/pool
-  path, compacted dense with an exclusive prefix-sum over the
-  needs-resim flags (stream compaction) and scattered back in
-  fault-list order.
+  **invalidated** and re-simulated inline through
+  :meth:`~repro.faults.fault_sim.FaultSimulator.detection_words` (the
+  record needs every detecting pattern, not only the first), compacted
+  dense with an exclusive prefix-sum over the needs-resim flags (stream
+  compaction) and scattered back in fault-list order.
 
 Keying detections by *value* rather than by pattern index makes the
 record order-independent: deleting a store block, reordering patterns,
@@ -116,9 +117,9 @@ class IncrementalFaultSim:
 
     # -- public entry point ----------------------------------------------
 
-    def run(self, scheduler, simulator, patterns, fault_list, key):
-        """Incremental equivalent of ``scheduler.run(...)`` (or of
-        ``simulator.run(...)`` when *scheduler* is None).
+    def run(self, simulator, patterns, fault_list, key):
+        """Incremental equivalent of ``simulator.run(patterns,
+        fault_list)``.
 
         Returns ``(result, info)``: a :class:`FaultSimResult`
         bit-identical to the from-scratch run, plus the hit/invalidation
@@ -132,8 +133,7 @@ class IncrementalFaultSim:
                 "strict_checks": 0}
         n = len(fault_list)
         if patterns.count == 0 or n == 0:
-            result = self._full_run(scheduler, simulator, patterns,
-                                    fault_list)
+            result = simulator.run(patterns, fault_list)
             self._note(info)
             return result, info
 
@@ -182,30 +182,23 @@ class IncrementalFaultSim:
         info["faults_restored"] = restored_count
 
         if resim_count == n:
-            result = self._full_run(scheduler, simulator, patterns,
-                                    fault_list)
-            words = list(result.detection_words)
-        else:
-            if resim_count:
-                dense = [None] * resim_count
-                for i in range(n):
-                    if flags[i]:
-                        dense[offsets[i]] = fault_list[i]
-                sub_result = self._full_run(
-                    scheduler, simulator, patterns,
-                    FaultList(simulator.netlist, dense))
-                for i in range(n):
-                    if flags[i]:
-                        words[i] = sub_result.detection_words[offsets[i]]
-            firsts = [(w & -w).bit_length() - 1 if w else None
-                      for w in words]
-            result = FaultSimResult(fault_list, patterns.count, words,
-                                    firsts)
+            words = simulator.detection_words(patterns, fault_list)
+        elif resim_count:
+            dense = [None] * resim_count
+            for i in range(n):
+                if flags[i]:
+                    dense[offsets[i]] = fault_list[i]
+            resimulated = simulator.detection_words(
+                patterns, FaultList(simulator.netlist, dense))
+            for i in range(n):
+                if flags[i]:
+                    words[i] = resimulated[offsets[i]]
+        result = FaultSimResult.from_words(fault_list, patterns.count,
+                                           words)
 
         if self.mode == "strict" and restored_count:
             info["strict_checks"] += 1
-            self._strict_check(result, scheduler, simulator, patterns,
-                               fault_list)
+            self._strict_check(words, simulator, patterns, fault_list)
 
         self._store(key, record, observed, groups, group_proj, fault_list,
                     words, flags, pair_cache)
@@ -473,23 +466,14 @@ class IncrementalFaultSim:
         return schedule
 
     @staticmethod
-    def _full_run(scheduler, simulator, patterns, fault_list):
-        if scheduler is not None:
-            return scheduler.run(simulator, patterns, fault_list)
-        return simulator.run(patterns, fault_list)
-
-    def _strict_check(self, result, scheduler, simulator, patterns,
-                      fault_list):
+    def _strict_check(words, simulator, patterns, fault_list):
         """The strict-mode oracle: re-simulate everything from scratch
-        and require bit-identity with the restored result."""
-        reference = self._full_run(scheduler, simulator, patterns,
-                                   fault_list)
-        mismatches = sum(
-            1 for ours, theirs in zip(result.detection_words,
-                                      reference.detection_words)
-            if ours != theirs)
-        if mismatches or (result.first_detection
-                          != reference.first_detection):
+        and require the restored detection *words* to be bit-identical
+        (first detections are derived from them)."""
+        reference = simulator.detection_words(patterns, fault_list)
+        mismatches = sum(1 for ours, theirs in zip(words, reference)
+                         if ours != theirs)
+        if mismatches:
             raise IncrementalError(
                 "strict incremental check failed: {} of {} detection "
                 "word(s) differ from the from-scratch re-simulation"

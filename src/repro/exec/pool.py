@@ -22,13 +22,14 @@ module replaces it with a pool that is created **once per campaign**:
   never reaches a chunk.  Workers are stateless with respect to
   dropping, which is what lets one pool serve consecutive campaigns.
 * **Deterministic reconciliation.**  Chunks are contiguous slices of
-  the caller's fault list and results are merged by slice position, so
-  the merged :class:`~repro.faults.fault_sim.FaultSimResult` is
-  bit-identical to the sequential run.  When a chunk is requeued after
-  a worker death and two results for the same fault ever race, the
-  merge keeps the record with the **lowest first-detection cc** (None
-  loses; ties keep the incumbent) — the same lowest-cc / first-writer
-  tie-break :class:`~repro.faults.dropping.FaultListReport` applies.
+  the caller's fault list; a worker sends back only its chunk's first
+  detections, and they are merged by slice position, so the merged
+  :class:`~repro.faults.fault_sim.FaultSimResult` is bit-identical to
+  the sequential run.  When a chunk is requeued after a worker death and
+  two results for the same fault ever race, the merge keeps the **lowest
+  first-detection cc** (None loses; ties keep the incumbent) — the same
+  lowest-cc / first-writer tie-break
+  :class:`~repro.faults.dropping.FaultListReport` applies.
 * **Fault isolation.**  A worker that dies mid-run (OOM-kill, crash)
   has its in-flight chunks requeued onto the surviving workers; dead
   workers are respawned at the next run.  A chunk that keeps failing
@@ -130,7 +131,7 @@ def _prime_patterns(state, ctx_id, pat_id, packed, count):
 
 
 def _run_chunk(state, ctx_id, pat_id, entries):
-    """Simulate one chunk; returns (words, firsts, busy, stats).
+    """Simulate one chunk; returns (firsts, busy, stats).
 
     *entries* mixes canonical fault ids (ints) with literal
     :class:`StuckAtFault` objects (faults outside the canonical collapsed
@@ -150,8 +151,7 @@ def _run_chunk(state, ctx_id, pat_id, entries):
     result = simulator.run(patterns,
                            FaultList(simulator.netlist, faults))
     busy = time.perf_counter() - started
-    return (result.detection_words, result.first_detection, busy,
-            _stats_delta(simulator, before))
+    return result.first_detection, busy, _stats_delta(simulator, before)
 
 
 def _worker_main(worker_id, tasks, results):
@@ -395,9 +395,9 @@ class WorkerPool:
         """Chunked pooled equivalent of ``simulator.run(patterns,
         fault_list)``.
 
-        Returns ``(words, firsts, chunk_busy, stats)`` where
-        *words*/*firsts* are in fault-list order and bit-identical to the
-        sequential run, *chunk_busy* is the per-chunk worker busy time,
+        Returns ``(firsts, chunk_busy, stats)`` where *firsts* are the
+        first detections in fault-list order, bit-identical to the
+        sequential run's, *chunk_busy* is the per-chunk worker busy time,
         and *stats* the summed propagation-counter deltas.
         """
         workers = self._ensure_workers()
@@ -414,7 +414,6 @@ class WorkerPool:
             job = _Job(next(self._ids), start, entries[start:start + size])
             jobs[job.job_id] = job
 
-        words = [0] * total
         firsts = [None] * total
         filled = [False] * total
         busy = []
@@ -449,34 +448,27 @@ class WorkerPool:
                     "fault chunk at offset {} failed on {} worker(s) and "
                     "inline: {!r}".format(job.start, job.retries, exc)
                 ) from exc
-            for offset in range(len(job.entries)):
-                position = job.start + offset
-                words[position] = result.detection_words[offset]
-                firsts[position] = result.first_detection[offset]
-                filled[position] = True
+            end = job.start + len(job.entries)
+            firsts[job.start:end] = result.first_detection
+            filled[job.start:end] = [True] * len(job.entries)
             self._bump("chunks_inline")
 
-        def absorb(job, chunk_words, chunk_firsts, chunk_busy,
-                   chunk_stats):
+        def absorb(job, chunk_firsts, chunk_busy, chunk_stats):
             busy.append(chunk_busy)
             for key, value in chunk_stats.items():
                 stats[key] = stats.get(key, 0) + value
-            for offset in range(len(job.entries)):
+            for offset, first in enumerate(chunk_firsts):
                 position = job.start + offset
-                word = chunk_words[offset]
-                first = chunk_firsts[offset]
                 if not filled[position]:
-                    words[position] = word
                     firsts[position] = first
                     filled[position] = True
                     continue
-                # Duplicate result after a requeue race: keep the record
-                # with the lower first-detection cc (None loses, ties keep
-                # the incumbent) — FaultListReport's own tie-break.
+                # Duplicate result after a requeue race: keep the lower
+                # first-detection cc (None loses, ties keep the
+                # incumbent) — FaultListReport's own tie-break.
                 incumbent = firsts[position]
                 if first is not None and (incumbent is None
                                           or first < incumbent):
-                    words[position] = word
                     firsts[position] = first
 
         # Prefill a two-deep window per worker so nobody idles while the
@@ -555,7 +547,7 @@ class WorkerPool:
                 continue            # stale result from an earlier run
             absorb(job, *payload)
             done.add(job_id)
-        return words, firsts, busy, stats
+        return firsts, busy, stats
 
     def _receive(self, workers):
         """The next message from any of *workers*, or None when none

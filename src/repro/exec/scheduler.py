@@ -1,14 +1,14 @@
 """Sharded stage-3 fault simulation over a persistent worker pool.
 
 Gate-level stuck-at fault simulation is embarrassingly parallel across
-faults: each fault's detection word depends only on the (shared) good-
+faults: each fault's first detection depends only on the (shared) good-
 machine values and its own fanout cone.  The scheduler exploits this by
 cutting a module's fault list into contiguous chunks, streaming them
 through a campaign-lifetime :class:`~repro.exec.pool.WorkerPool`, and
-merging the per-chunk results back in fault-list order — so the merged
-:class:`~repro.faults.fault_sim.FaultSimResult` is **bit-identical** to
-the sequential run (same ``detection_words``, same ``first_detection``,
-same fault order).
+merging the per-chunk first detections back in fault-list order — so the
+merged :class:`~repro.faults.fault_sim.FaultSimResult` is
+**bit-identical** to the sequential run (same ``first_detection``, same
+fault order).
 
 Fault dropping composes with sharding because the pipeline shards
 *after* the drop filter (the scheduler receives the already-filtered
@@ -159,8 +159,8 @@ class ShardedFaultScheduler:
             result = simulator.run(patterns, fault_list)
             stats = _stats_delta(simulator, before)
         else:
-            words, firsts, busy, stats = pooled
-            result = FaultSimResult(fault_list, patterns.count, words, firsts)
+            firsts, busy, stats = pooled
+            result = FaultSimResult(fault_list, patterns.count, firsts)
         seconds = time.perf_counter() - started
         counts = {"runs": 1, "faults": len(fault_list),
                   "patterns": patterns.count, "seconds": seconds,

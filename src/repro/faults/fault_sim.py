@@ -1,15 +1,18 @@
-"""Bit-parallel single-stuck-at fault simulation with per-pattern records.
+"""Bit-parallel single-stuck-at fault simulation with fault dropping.
 
 This is the reproduction of the paper's "optimized GL fault simulation"
 (stage 3): the fault list belongs to ONE target module, observability is the
 module's outputs (module-level fault observability, [25] in the paper), and
 the simulator records, for every fault, the first pattern (= clock cycle)
-that detects it.  The per-pattern detection counts form the *Fault Sim
-Report* consumed by the instruction-labeling stage.
+that detects it.  The per-pattern counts of those first detections form the
+*Fault Sim Report* consumed by the instruction-labeling stage.
 
 All patterns are simulated at once per fault: net values are packed integers
 (bit ``k`` = value under pattern ``k``), so a fault's full detection word
-costs one traversal of its fanout cone.
+costs one traversal of its fanout cone.  :meth:`FaultSimulator.run` keeps
+only each word's lowest set bit (the first detection);
+:meth:`FaultSimulator.detection_words` is the one call that returns the
+words themselves, for the readers that need every detecting pattern.
 
 Each engine has one per-fault propagation step (``engine=`` argument picks
 it), in two parts: a reach prune against the observer's nets, and the
@@ -27,8 +30,9 @@ keep the ``stats`` counters:
   is still alive.  The differential tests and the strict static-prune
   cross-check compare against it.
 
-Two observers read the step.  :meth:`FaultSimulator.run` ORs the
-differences on the module outputs into each fault's detection word.
+Two observers read the step.  :meth:`FaultSimulator.run` and
+:meth:`FaultSimulator.detection_words` OR the differences on the module
+outputs into each fault's detection word.
 :meth:`FaultSimulator.run_signature` (signature-per-thread observability)
 splits the patterns into one sequence-ordered set per thread, then
 propagates each fault thread by thread, folds the differences on the
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 
 from ..errors import FaultSimError
 from ..netlist.gates import evaluate
-from ..netlist.simulator import LogicSimulator, iter_set_bits  # noqa: F401
+from ..netlist.simulator import LogicSimulator
 from .fault import OUTPUT_PIN, FaultList
 from .propagate import EventDrivenEngine
 
@@ -58,21 +62,27 @@ ENGINES = ("event", "cone")
 
 @dataclass
 class FaultSimResult:
-    """Outcome of one fault simulation run.
+    """Outcome of one fault simulation run with fault dropping.
 
     Attributes:
         fault_list: the simulated :class:`~repro.faults.fault.FaultList`.
         pattern_count: number of simulated patterns.
-        detection_words: per-fault packed detection word (bit ``k`` set when
-            pattern ``k`` propagates the fault to an observed output).
         first_detection: per-fault index of the first detecting pattern, or
             None when undetected.
     """
 
     fault_list: FaultList
     pattern_count: int
-    detection_words: list
     first_detection: list
+
+    @classmethod
+    def from_words(cls, fault_list, pattern_count, words):
+        """The result whose first detections are the lowest set bits of
+        *words* (an iterable of per-fault packed detection words, read
+        once)."""
+        return cls(fault_list, pattern_count,
+                   [(word & -word).bit_length() - 1 if word else None
+                    for word in words])
 
     @property
     def detected_faults(self):
@@ -96,33 +106,15 @@ class FaultSimResult:
             return 0.0
         return 100.0 * self.num_detected / denom
 
-    def detections_per_pattern(self, dropping=True):
-        """Number of faults detected at each pattern index.
-
-        With *dropping* (the paper's configuration), each fault is counted
-        only at its first detecting pattern; otherwise at every detecting
-        pattern.
-        """
+    def detections_per_pattern(self):
+        """Number of faults first detected at each pattern index (the Fault
+        Sim Report's counts: each fault counts once, at its first
+        detecting pattern)."""
         counts = [0] * self.pattern_count
-        if dropping:
-            for first in self.first_detection:
-                if first is not None:
-                    counts[first] += 1
-        else:
-            for word in self.detection_words:
-                for index in iter_set_bits(word):
-                    counts[index] += 1
+        for first in self.first_detection:
+            if first is not None:
+                counts[first] += 1
         return counts
-
-    def detecting_patterns(self, dropping=True):
-        """Set of pattern indices that detect at least one fault."""
-        if dropping:
-            return {first for first in self.first_detection
-                    if first is not None}
-        hits = set()
-        for word in self.detection_words:
-            hits.update(iter_set_bits(word))
-        return hits
 
 
 class FaultSimulator:
@@ -211,19 +203,33 @@ class FaultSimulator:
 
     def run(self, patterns, fault_list=None):
         """Simulate *fault_list* (default: full collapsed list) over
-        *patterns* and return a :class:`FaultSimResult`."""
+        *patterns* and return a :class:`FaultSimResult`; each fault's
+        word is reduced to its first detection as it is computed."""
         if fault_list is None:
             fault_list = FaultList(self.netlist)
+        return FaultSimResult.from_words(fault_list, patterns.count,
+                                         self._words(patterns, fault_list))
+
+    def detection_words(self, patterns, fault_list=None):
+        """Per-fault packed detection words of *fault_list* (default: full
+        collapsed list) over *patterns*: bit ``k`` of a fault's word is set
+        when pattern ``k`` propagates it to an observed output.  The same
+        propagation as :meth:`run`, for the readers that need every
+        detecting pattern rather than the first."""
+        if fault_list is None:
+            fault_list = FaultList(self.netlist)
+        return list(self._words(patterns, fault_list))
+
+    def _words(self, patterns, fault_list):
+        """Each fault's detection word, one fault at a time."""
         if patterns.count == 0:
-            empty = [0] * len(fault_list)
-            return FaultSimResult(fault_list, 0, empty,
-                                  [None] * len(fault_list))
+            yield from [0] * len(fault_list)
+            return
         mask = patterns.mask
         good = self.good_values(patterns)
         observed = self._observed_targets
         pruned, effect_of = self._pruned, self._effect
         stats = self.stats
-        detection_words = []
         for fault in fault_list:
             word = 0
             if not pruned(fault, observed):
@@ -235,11 +241,7 @@ class FaultSimulator:
                     for net in changed:
                         if net in observed:
                             word |= faulty[net] ^ good[net]
-            detection_words.append(word)
-        first_detection = [(word & -word).bit_length() - 1 if word else None
-                           for word in detection_words]
-        return FaultSimResult(fault_list, patterns.count, detection_words,
-                              first_detection)
+            yield word
 
     def run_signature(self, patterns, fault_list, result_word,
                       thread_sequences, misr_width=None):

@@ -28,8 +28,7 @@ set of changed nets cannot differ.  The equivalence oracle in
 
 from __future__ import annotations
 
-from ..errors import FaultSimError
-from ..netlist.gates import GateType
+from ..netlist.gates import GateType, evaluate
 from .fault import OUTPUT_PIN
 
 #: Integer opcodes for the inlined gate evaluator (enum identity checks in
@@ -47,34 +46,6 @@ _OPCODE = {
     GateType.XNOR: _XNOR,
     GateType.MUX: _MUX,
 }
-
-
-def evaluate_opcode(opcode, values, mask):
-    """Evaluate the gate *opcode* over packed *values* (tuple/list).
-
-    Same truth tables as :func:`repro.netlist.gates.evaluate`; used by the
-    engine for seed-gate evaluation and by tests as the opcode oracle.
-    """
-    if opcode == _AND:
-        return values[0] & values[1]
-    if opcode == _OR:
-        return values[0] | values[1]
-    if opcode == _NAND:
-        return ~(values[0] & values[1]) & mask
-    if opcode == _NOR:
-        return ~(values[0] | values[1]) & mask
-    if opcode == _XOR:
-        return values[0] ^ values[1]
-    if opcode == _XNOR:
-        return ~(values[0] ^ values[1]) & mask
-    if opcode == _MUX:
-        sel = values[2]
-        return (values[0] & ~sel | values[1] & sel) & mask
-    if opcode == _BUF:
-        return values[0]
-    if opcode == _NOT:
-        return ~values[0] & mask
-    raise FaultSimError("unknown gate opcode {!r}".format(opcode))
 
 
 class PropagationSchedule:
@@ -263,7 +234,7 @@ class EventDrivenEngine:
         gate = fault.gate
         values = [good_list[net] for net in schedule.gate_inputs[gate]]
         values[fault.pin] = stuck_word
-        out = evaluate_opcode(schedule.opcode[gate], values, mask)
+        out = evaluate(schedule.netlist.gates[gate].gate_type, values, mask)
         if out == good_list[schedule.gate_output[gate]]:
             return None
         return out

@@ -72,25 +72,33 @@ class TransitionFaultSimulator:
         self.netlist = netlist
 
     def run(self, patterns, faults=None):
-        """Simulate; returns a :class:`FaultSimResult`-shaped record whose
-        ``fault_list`` is the transition-fault list."""
+        """Simulate; returns a :class:`FaultSimResult`-shaped record of
+        first detections whose ``fault_list`` is the transition-fault
+        list."""
+        if faults is None:
+            faults = enumerate_transition_faults(self.netlist)
+        return FaultSimResult.from_words(
+            _TransitionList(self.netlist, faults), patterns.count,
+            self.detection_words(patterns, faults))
+
+    def detection_words(self, patterns, faults=None):
+        """Per-fault packed detection words: bit ``k`` set when pattern
+        pair (k-1, k) launches the transition and captures it."""
         if faults is None:
             faults = enumerate_transition_faults(self.netlist)
         if patterns.count == 0:
-            return FaultSimResult(_TransitionList(self.netlist, faults), 0,
-                                  [0] * len(faults), [None] * len(faults))
+            return [0] * len(faults)
         mask = patterns.mask
-        # One stuck-at run over the distinct stem proxies computes every
-        # capture propagation word.
+        # One stuck-at simulation over the distinct stem proxies computes
+        # every capture propagation word.
         proxies = [_stem_proxy(self.netlist, fault.net,
                                fault.equivalent_stuck_at())
                    for fault in faults]
         proxy_list = FaultList(self.netlist, dict.fromkeys(proxies))
-        capture = self._stuck.run(patterns, proxy_list).detection_words
+        capture = self._stuck.detection_words(patterns, proxy_list)
         good = self._stuck.good_values(patterns)
 
         detection_words = []
-        first_detection = []
         for fault, proxy in zip(faults, proxies):
             propagate_word = capture[proxy_list.id_of(proxy)]
             # Launch: the net transitions into the slow direction between
@@ -101,13 +109,8 @@ class TransitionFaultSimulator:
             else:
                 launch = (value << 1) & (~value) & mask
             launch &= ~1  # pattern 0 has no predecessor
-            word = propagate_word & launch
-            detection_words.append(word)
-            first_detection.append((word & -word).bit_length() - 1
-                                   if word else None)
-        return FaultSimResult(_TransitionList(self.netlist, faults),
-                              patterns.count, detection_words,
-                              first_detection)
+            detection_words.append(propagate_word & launch)
+        return detection_words
 
 
 class _TransitionList:

@@ -30,8 +30,7 @@ def iter_set_bits(word):
 
     The canonical ``word & -word`` lowest-set-bit walk — every consumer of
     packed pattern/detection words iterates through this one helper, so
-    pattern indices are derived identically everywhere (the fault layer
-    re-exports it as ``repro.faults.fault_sim.iter_set_bits``).
+    pattern indices are derived identically everywhere.
 
     Raises:
         ValueError: *word* is negative.  A Python int's two's-complement

@@ -7,7 +7,9 @@ must end bit-identical to a from-scratch campaign over the same edited
 STL.  "Bit-identical" means the detected-fault attribution, the module
 fault coverage, and :meth:`FaultListReport.fingerprint` all match, for
 the production event engine and the cone reference (swapped into the
-pipeline's stage-3 simulator), sequential and pooled.  Warm runs use
+pipeline's stage-3 simulator), against sequential and pooled
+from-scratch campaigns (the incremental layer itself re-simulates
+inline).  Warm runs use
 ``strict`` mode, so the built-in from-scratch comparison doubles as an
 oracle inside every example.
 """
@@ -167,9 +169,9 @@ def test_stl_edit_oracle_across_engines(du_module, tmp_path_factory, seed):
 
 
 def test_stl_edit_oracle_pooled_with_fc_evaluation(du_module, tmp_path):
-    """The pooled variant, with stage-5 FC evaluation on: per-PTP original
-    and compacted FC numbers must match a from-scratch pooled campaign
-    after a single-SB deletion."""
+    """The ``jobs=2`` variant, with stage-5 FC evaluation on: per-PTP
+    original and compacted FC numbers must match a from-scratch pooled
+    campaign after a single-SB deletion."""
     cache = ArtifactCache(str(tmp_path / "cache"))
     _run_campaign(du_module, _du_stl(), cache, "on", "event", jobs=2,
                   evaluate=True)

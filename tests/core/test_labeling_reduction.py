@@ -12,7 +12,6 @@ from repro.core.partition import partition_ptp
 from repro.core.reduction import reduce_ptp, segment_small_blocks
 from repro.core.tracing import run_logic_tracing
 from repro.errors import CompactionError
-from repro.faults.fault_sim import FaultSimResult
 from repro.gpu.config import KernelConfig
 from repro.isa import assemble
 from repro.isa.opcodes import Op
@@ -42,24 +41,13 @@ THREE_SB = """
 """
 
 
-class _FakeFaultList:
-    def __init__(self, n):
-        self._n = n
-
-    def __len__(self):
-        return self._n
-
-    def __iter__(self):
-        return iter(range(self._n))
-
-
-def _fake_result(pattern_count, detecting):
-    """FaultSimResult with one fault first-detected per index in
+def _fake_counts(pattern_count, detecting):
+    """Fault Sim Report counts with one fault first-detected per index in
     *detecting*."""
-    words = [1 << k for k in detecting]
-    firsts = list(detecting)
-    return FaultSimResult(_FakeFaultList(len(words)), pattern_count, words,
-                          firsts)
+    counts = [0] * pattern_count
+    for k in detecting:
+        counts[k] += 1
+    return counts
 
 
 @pytest.fixture()
@@ -74,8 +62,8 @@ def test_labeling_marks_detecting_instructions(traced):
     report = tracing.pattern_report
     # The pattern at index k corresponds to instruction pc=k (one warp,
     # straight line): mark patterns of pc 2 and pc 5 as detecting.
-    result = _fake_result(report.count, [2, 5])
-    labeled = label_instructions(ptp, tracing.trace, report, result)
+    counts = _fake_counts(report.count, [2, 5])
+    labeled = label_instructions(ptp, tracing.trace, report, counts)
     assert labeled.labels[2] == ESSENTIAL
     assert labeled.labels[5] == ESSENTIAL
     assert labeled.num_essential == 2
@@ -87,18 +75,19 @@ def test_labeling_marks_detecting_instructions(traced):
 
 def test_labeling_with_no_detections(traced):
     ptp, tracing = traced
-    result = _fake_result(tracing.pattern_report.count, [])
+    counts = _fake_counts(tracing.pattern_report.count, [])
     labeled = label_instructions(ptp, tracing.trace,
-                                 tracing.pattern_report, result)
+                                 tracing.pattern_report, counts)
     assert labeled.num_essential == 0
 
 
 def test_labeling_rejects_mismatched_pattern_counts(traced):
     ptp, tracing = traced
-    result = _fake_result(tracing.pattern_report.count + 5, [])
-    with pytest.raises(CompactionError):
-        label_instructions(ptp, tracing.trace, tracing.pattern_report,
-                           result)
+    for count in (tracing.pattern_report.count + 5,
+                  tracing.pattern_report.count - 1):
+        with pytest.raises(CompactionError, match="patterns"):
+            label_instructions(ptp, tracing.trace, tracing.pattern_report,
+                               _fake_counts(count, []))
 
 
 def test_reduction_removes_only_fully_unessential_sbs(traced, du_module,
@@ -106,9 +95,9 @@ def test_reduction_removes_only_fully_unessential_sbs(traced, du_module,
     ptp, tracing = traced
     partition = partition_ptp(ptp)
     # SB2 (pcs 4-6) has an essential instruction; SB1 and SB3 do not.
-    result = _fake_result(tracing.pattern_report.count, [5])
+    counts = _fake_counts(tracing.pattern_report.count, [5])
     labeled = label_instructions(ptp, tracing.trace,
-                                 tracing.pattern_report, result)
+                                 tracing.pattern_report, counts)
     reduction = reduce_ptp(labeled, partition)
     kept_ops = [i.op for i in reduction.compacted.program]
     # Pinned prologue + SB2 + pinned EXIT survive.
@@ -122,10 +111,10 @@ def test_reduction_removes_only_fully_unessential_sbs(traced, du_module,
 
 def test_reduction_keeps_everything_when_all_essential(traced):
     ptp, tracing = traced
-    result = _fake_result(tracing.pattern_report.count,
+    counts = _fake_counts(tracing.pattern_report.count,
                           list(range(tracing.pattern_report.count)))
     labeled = label_instructions(ptp, tracing.trace,
-                                 tracing.pattern_report, result)
+                                 tracing.pattern_report, counts)
     partition = partition_ptp(ptp)
     reduction = reduce_ptp(labeled, partition)
     assert reduction.compacted.size == ptp.size
@@ -174,9 +163,9 @@ def test_branch_targets_remapped_after_removal(du_module, gpu):
     # (two plain SBs) get removed, the hammock survives, targets remap.
     pc_of_pattern = [r.pc for r in tracing.pattern_report.records]
     detecting = [k for k, pc in enumerate(pc_of_pattern) if pc == 9][:1]
-    result = _fake_result(tracing.pattern_report.count, detecting)
+    counts = _fake_counts(tracing.pattern_report.count, detecting)
     labeled = label_instructions(ptp, tracing.trace,
-                                 tracing.pattern_report, result)
+                                 tracing.pattern_report, counts)
     reduction = reduce_ptp(labeled, partition)
     compacted = reduction.compacted
     ops = [i.op for i in compacted.program]
@@ -196,9 +185,9 @@ def test_data_relocation_drops_orphaned_arrays(sp_module, gpu):
                              atpg_max_backtracks=3)
     tracing = run_logic_tracing(ptp, sp_module, gpu=gpu)
     partition = partition_ptp(ptp)
-    result = _fake_result(tracing.pattern_report.count, [])
+    counts = _fake_counts(tracing.pattern_report.count, [])
     labeled = label_instructions(ptp, tracing.trace,
-                                 tracing.pattern_report, result)
+                                 tracing.pattern_report, counts)
     reduction = reduce_ptp(labeled, partition)
     # Everything removable went away, so every operand array is orphaned.
     from repro.stl.builder import OUTPUT_BASE

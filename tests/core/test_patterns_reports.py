@@ -121,7 +121,7 @@ def test_fault_sim_report_round_trip(artifacts):
 def test_labeled_ptp_listing(artifacts):
     ptp, tracing, result = artifacts
     labeled = label_instructions(ptp, tracing.trace, tracing.pattern_report,
-                                 result)
+                                 result.detections_per_pattern())
     text = write_labeled_ptp(labeled)
     lines = text.strip().splitlines()
     assert lines[0].startswith("#LPTP name=P")

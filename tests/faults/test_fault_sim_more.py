@@ -58,15 +58,14 @@ def test_identical_fault_lists_give_identical_results():
     patterns = pattern_set(nl1, [{a1: av, b1: bv} for av, bv in
                                  ((0, 0), (1, 0), (0, 1), (1, 1))])
     sim = FaultSimulator(nl1)
-    first = sim.run(patterns)
-    second = sim.run(patterns)
-    assert first.detection_words == second.detection_words
+    assert (sim.run(patterns).first_detection
+            == sim.run(patterns).first_detection)
+    assert sim.detection_words(patterns) == sim.detection_words(patterns)
 
 
 def test_detection_word_bits_within_pattern_mask():
     nl, a, b, x = _nl()
     patterns = pattern_set(nl, [{a: av, b: bv}
                                 for av, bv in ((1, 1), (0, 0), (1, 0))])
-    result = FaultSimulator(nl).run(patterns)
-    for word in result.detection_words:
+    for word in FaultSimulator(nl).detection_words(patterns):
         assert word >> patterns.count == 0

@@ -4,7 +4,9 @@ The load-bearing test is the hypothesis oracle: over random netlists,
 random pattern sets, and the full uncollapsed fault list, the event
 engine must be bit-identical to the cone-walk engine — same
 detection words, same first detections, same SpT signature verdicts
-(including truncated MISR widths), under full and subset observability.
+(including truncated MISR widths), under full and subset observability —
+and on either engine ``run``'s first detections must be the lowest set
+bits of ``detection_words``.
 """
 
 import random
@@ -15,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import FaultSimError
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
 from repro.faults.fault import enumerate_faults
-from repro.faults.propagate import _OPCODE, EventDrivenEngine, PropagationSchedule, evaluate_opcode
+from repro.faults.propagate import EventDrivenEngine, PropagationSchedule
 from repro.netlist import GateType, LogicSimulator, Netlist
-from repro.netlist.gates import ARITY, evaluate
+from repro.netlist.gates import ARITY
 
 from ..pattern_rows import pattern_set
 
@@ -57,10 +59,40 @@ def test_event_engine_is_bit_identical_to_cone_walk(seed):
     patterns = _random_patterns(rng, nl, rng.randrange(1, 14))
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
     event, cone = _pair(nl)
-    ev = event.run(patterns, fault_list)
-    cw = cone.run(patterns, fault_list)
-    assert ev.detection_words == cw.detection_words
-    assert ev.first_detection == cw.first_detection
+    assert (event.detection_words(patterns, fault_list)
+            == cone.detection_words(patterns, fault_list))
+    assert (event.run(patterns, fault_list).first_detection
+            == cone.run(patterns, fault_list).first_detection)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0, 1, 63, 64, 65]),
+       st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_run_keeps_the_lowest_set_bit_of_detection_words(seed, count,
+                                                         empty):
+    """Pattern counts on both sides of one 64-bit limb, no patterns at
+    all, and an empty fault list: on both engines ``run`` holds exactly
+    the lowest set bit of each ``detection_words`` word, and the two
+    engines' words agree."""
+    rng = random.Random(seed)
+    nl = _random_netlist(rng)
+    patterns = _random_patterns(rng, nl, count)
+    fault_list = FaultList(nl, [] if empty else enumerate_faults(
+        nl, collapse=False))
+    words = {}
+    for simulator in _pair(nl):
+        result = simulator.run(patterns, fault_list)
+        words[simulator.engine] = simulator.detection_words(patterns,
+                                                            fault_list)
+        assert result.pattern_count == count
+        assert result.fault_list is fault_list
+        assert len(words[simulator.engine]) == len(fault_list)
+        for word, first in zip(words[simulator.engine],
+                               result.first_detection):
+            assert 0 <= word < 1 << count
+            assert first == ((word & -word).bit_length() - 1 if word
+                             else None)
+    assert words["event"] == words["cone"]
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -74,9 +106,8 @@ def test_event_engine_matches_cone_under_subset_observability(seed):
     observed = list(dict.fromkeys(observed))
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
     event, cone = _pair(nl, observed=observed)
-    ev = event.run(patterns, fault_list)
-    cw = cone.run(patterns, fault_list)
-    assert ev.detection_words == cw.detection_words
+    assert (event.detection_words(patterns, fault_list)
+            == cone.detection_words(patterns, fault_list))
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -98,10 +129,10 @@ def test_event_signature_verdicts_match_cone(seed):
     cw_sig = cone.run_signature(patterns, fault_list, result_word,
                                 sequences, misr_width=misr_width)
     assert ev_sig == cw_sig
-    ev_result = event.run(patterns, fault_list)
-    cw_result = cone.run(patterns, fault_list)
-    assert ev_result.detection_words == cw_result.detection_words
-    assert ev_result.first_detection == cw_result.first_detection
+    assert (event.detection_words(patterns, fault_list)
+            == cone.detection_words(patterns, fault_list))
+    assert (event.run(patterns, fault_list).first_detection
+            == cone.run(patterns, fault_list).first_detection)
 
 
 # -- schedule structure ------------------------------------------------------
@@ -147,19 +178,6 @@ def test_schedule_seed_net_for_stem_and_pin_faults():
     schedule = PropagationSchedule(nl)
     assert schedule.seed_net(StuckAtFault(a, None, OUTPUT_PIN, 0)) == a
     assert schedule.seed_net(StuckAtFault(a, 0, 0, 1)) == out
-
-
-def test_evaluate_opcode_matches_gate_evaluate():
-    rng = random.Random(13)
-    mask = (1 << 6) - 1
-    for gate_type, opcode in _OPCODE.items():
-        for __ in range(20):
-            values = tuple(rng.getrandbits(6)
-                           for __ in range(ARITY[gate_type]))
-            assert (evaluate_opcode(opcode, values, mask)
-                    == evaluate(gate_type, values, mask))
-    with pytest.raises(FaultSimError):
-        evaluate_opcode(99, (0,), mask)
 
 
 # -- engine behaviour --------------------------------------------------------
@@ -255,11 +273,11 @@ def test_unobservable_cone_head_is_pruned():
     fault_list = FaultList(nl, [StuckAtFault(y, 1, OUTPUT_PIN, 1)])
     event = FaultSimulator(nl, observed_outputs=[x], engine="event")
     result = event.run(patterns, fault_list)
-    assert result.detection_words == [0]
+    assert result.first_detection == [None]
     assert event.stats["faults_pruned"] == 1
     assert event.stats["gates_evaluated"] == 0
     cone = FaultSimulator(nl, observed_outputs=[x], engine="cone")
-    assert cone.run(patterns, fault_list).detection_words == [0]
+    assert cone.detection_words(patterns, fault_list) == [0]
 
 
 def test_unknown_engine_is_rejected():
@@ -289,7 +307,6 @@ def test_fault_grouping_keeps_fault_list_order():
     ]
     fault_list = FaultList(nl, faults)
     event, cone = _pair(nl)
-    ev = event.run(patterns, fault_list)
-    cw = cone.run(patterns, fault_list)
-    assert ev.detection_words == cw.detection_words
-    assert ev.detection_words == [0b01, 0b10, 0b01, 0b10]
+    words = event.detection_words(patterns, fault_list)
+    assert words == cone.detection_words(patterns, fault_list)
+    assert words == [0b01, 0b10, 0b01, 0b10]

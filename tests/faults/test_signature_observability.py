@@ -91,7 +91,7 @@ def test_engineered_aliasing_case():
     signature_detected = simulator.run_signature(
         patterns, fault_list, out, sequences, misr_width=width)
     # Module-output observability sees it (twice), ...
-    assert simulator.run(patterns, fault_list).detection_words[0] \
+    assert simulator.detection_words(patterns, fault_list)[0] \
         == 0b0001_0001
     # ... but the two equal diffs rotate onto each other and cancel:
     # positions 0 and 4, rotations (8-1-0)%4 == (8-1-4)%4 == 3.
@@ -120,7 +120,7 @@ def test_truncated_misr_ignores_result_bits_beyond_width():
         signature_detected = simulator.run_signature(
             patterns, fault_list, out, sequences, misr_width=2)
         # Module outputs see the flip; the 2-bit signature cannot.
-        assert simulator.run(patterns, fault_list).detection_words \
+        assert simulator.detection_words(patterns, fault_list) \
             == [0b10], engine
         assert signature_detected == [False], engine
     # Same fault on a bit the truncated MISR does cover is detected.
@@ -180,7 +180,7 @@ def test_unexcited_fault_is_sig_undetected():
     simulator = FaultSimulator(nl)
     signature_detected = simulator.run_signature(
         patterns, fault_list, out, {(0, 0): [0]}, misr_width=width)
-    assert simulator.run(patterns, fault_list).detection_words == [0]
+    assert simulator.detection_words(patterns, fault_list) == [0]
     assert signature_detected == [False]
 
 
@@ -205,7 +205,7 @@ def test_fold_prunes_faults_that_reach_only_unfolded_outputs():
                                    {(0, 0): [0, 1]}) == [False]
     assert simulator.stats["faults_pruned"] == 1
     assert simulator.stats["gates_evaluated"] == 0
-    assert simulator.run(patterns, fault_list).detection_words == [0b01]
+    assert simulator.detection_words(patterns, fault_list) == [0b01]
 
 
 def _brute_force_verdict(reference, good, mask, fault, out, sequences,
@@ -348,7 +348,7 @@ def test_patterns_outside_every_thread_are_not_observed():
         assert simulator.run_signature(
             patterns, fault_list, out, sequences) == [False, True], engine
         assert simulator.stats["faults_inactive"] == 1, engine
-        assert simulator.run(patterns, fault_list).detection_words[0] \
+        assert simulator.detection_words(patterns, fault_list)[0] \
             == 0b001, engine
     assert FaultSimulator(nl).run_signature(
         patterns, fault_list, out, {}) == [False, False]

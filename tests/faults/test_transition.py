@@ -36,19 +36,19 @@ def test_rise_needs_zero_to_one_launch():
     nl, a, out = _buf()
     patterns = pattern_set(nl, [{a: value} for value in (0, 1, 1, 0, 1)])
     sim = TransitionFaultSimulator(nl)
-    result = sim.run(patterns, [TransitionFault(a, RISE)])
+    faults = [TransitionFault(a, RISE)]
     # Launches at pattern 1 (0->1) and 4 (0->1); capture propagates.
-    assert result.detection_words[0] == 0b10010
-    assert result.first_detection[0] == 1
+    assert sim.detection_words(patterns, faults) == [0b10010]
+    assert sim.run(patterns, faults).first_detection == [1]
 
 
 def test_fall_needs_one_to_zero_launch():
     nl, a, out = _buf()
     patterns = pattern_set(nl, [{a: value} for value in (1, 0, 0, 1, 0)])
     sim = TransitionFaultSimulator(nl)
-    result = sim.run(patterns, [TransitionFault(a, FALL)])
-    assert result.detection_words[0] == 0b10010
-    assert result.first_detection[0] == 1
+    faults = [TransitionFault(a, FALL)]
+    assert sim.detection_words(patterns, faults) == [0b10010]
+    assert sim.run(patterns, faults).first_detection == [1]
 
 
 def test_first_pattern_never_detects():
@@ -84,9 +84,9 @@ def test_capture_must_propagate():
         {a: 1, b: 1},  # launch AND capture
     ])
     sim = TransitionFaultSimulator(nl)
-    result = sim.run(patterns, [TransitionFault(a, RISE)])
-    assert result.detection_words[0] == 0b1000
-    assert result.first_detection[0] == 3
+    faults = [TransitionFault(a, RISE)]
+    assert sim.detection_words(patterns, faults) == [0b1000]
+    assert sim.run(patterns, faults).first_detection == [3]
 
 
 def test_transition_coverage_below_stuck_at():
@@ -161,11 +161,14 @@ def test_transition_detection_is_equivalent_stuck_at_gated_by_launch():
                                 for __ in range(12)])
 
     transition_faults = enumerate_transition_faults(nl)
-    result = TransitionFaultSimulator(nl).run(patterns, transition_faults)
+    simulator = TransitionFaultSimulator(nl)
+    words = simulator.detection_words(patterns, transition_faults)
+    assert simulator.run(patterns, transition_faults).first_detection == [
+        (word & -word).bit_length() - 1 if word else None for word in words]
     proxies = FaultList(nl, [
         _stem_proxy(nl, f.net, f.equivalent_stuck_at())
         for f in transition_faults])
-    stuck = FaultSimulator(nl).run(patterns, proxies)
+    stuck = FaultSimulator(nl).detection_words(patterns, proxies)
     good = FaultSimulator(nl)._logic.run(patterns)
     mask = patterns.mask
     for i, fault in enumerate(transition_faults):
@@ -175,8 +178,7 @@ def test_transition_detection_is_equivalent_stuck_at_gated_by_launch():
         else:
             launch = (value << 1) & (~value) & mask
         launch &= ~1
-        assert result.detection_words[i] == \
-            stuck.detection_words[i] & launch
+        assert words[i] == stuck[i] & launch
 
 
 def test_campaign_level_transition_mapping_on_generator_ptp(du_module, gpu):
@@ -194,17 +196,17 @@ def test_campaign_level_transition_mapping_on_generator_ptp(du_module, gpu):
     patterns = tracing.pattern_report.to_pattern_set()
 
     transition_faults = enumerate_transition_faults(du_module.netlist)
-    result = TransitionFaultSimulator(du_module.netlist).run(
+    words = TransitionFaultSimulator(du_module.netlist).detection_words(
         patterns, transition_faults)
     proxies = FaultList(du_module.netlist, [
         _stem_proxy(du_module.netlist, f.net, f.equivalent_stuck_at())
         for f in transition_faults])
-    stuck = FaultSimulator(du_module.netlist).run(patterns, proxies)
+    stuck = FaultSimulator(du_module.netlist).detection_words(patterns,
+                                                              proxies)
 
     detected = 0
-    for i in range(len(transition_faults)):
-        word = result.detection_words[i]
-        assert word & ~stuck.detection_words[i] == 0
+    for word, stuck_word in zip(words, stuck):
+        assert word & ~stuck_word == 0
         detected += 1 if word else 0
     assert 0 < detected < len(transition_faults)
 
@@ -221,7 +223,8 @@ def test_pipeline_stages_compose_with_transition_model(du_module, gpu):
     result = TransitionFaultSimulator(du_module.netlist).run(patterns)
     partition = partition_ptp(ptp)
     labeled = label_instructions(ptp, tracing.trace,
-                                 tracing.pattern_report, result)
+                                 tracing.pattern_report,
+                                 result.detections_per_pattern())
     reduction = reduce_ptp(labeled, partition)
     assert labeled.num_essential > 0
     assert reduction.compacted.size <= ptp.size
