@@ -138,20 +138,15 @@ def test_bench_cone_vs_event_fault_sim():
                           / by_config[("event", 2)]["seconds"])
     gates_skipped = by_config[("event", 1)]["gates_skipped"]
 
-    # Static-prune payoff: the safe triage removes provably untestable
-    # faults before simulation, so the event engine runs a smaller
-    # worklist for (by soundness) the identical detected set.  Both runs
-    # are timed fresh through the same inline path so the ratio is
-    # apples-to-apples.
+    # Static triage: the safe mode moves provably untestable faults out of
+    # the worklist and the FC denominator.  It is recorded for that
+    # meaning only; it claims no speed (no pattern excites those faults
+    # or carries their effect to an output, so they are cheap anyway).
     report = FaultListReport(module.netlist, static_prune="safe")
-    pruned_list = report.remaining
     prune_ratio = report.untestable_faults / len(fault_list)
     event_sim = FaultSimulator(module.netlist)
-    full_seconds, full_result = _time_run(
-        lambda: event_sim.run(patterns, fault_list))
-    pruned_seconds, pruned_result = _time_run(
-        lambda: event_sim.run(patterns, pruned_list))
-    pruned_speedup = full_seconds / pruned_seconds
+    full_result = event_sim.run(patterns, fault_list)
+    pruned_result = event_sim.run(patterns, report.remaining)
     # Soundness invariant: pruning only ever removes never-detected
     # faults, so the detected sets agree exactly.
     assert (set(pruned_result.detected_faults)
@@ -169,7 +164,6 @@ def test_bench_cone_vs_event_fault_sim():
             "total_faults": len(fault_list),
             "pruned_faults": report.untestable_faults,
             "static_prune_ratio": prune_ratio,
-            "pruned_list_speedup_event": pruned_speedup,
         },
         "cpu_count": os.cpu_count(),
         "strict": strict,
@@ -195,10 +189,8 @@ def test_bench_cone_vs_event_fault_sim():
               pool_gauges.get("workers_spawned", 0),
               pool_gauges.get("chunks_dispatched", 0),
               pool_event_speedup))
-    print("  static prune: {}/{} fault(s) proven untestable ({:.1%}), "
-          "pruned-list event run x{:.2f}".format(
-              report.untestable_faults, len(fault_list), prune_ratio,
-              pruned_speedup))
+    print("  static prune: {}/{} fault(s) proven untestable ({:.1%})"
+          .format(report.untestable_faults, len(fault_list), prune_ratio))
 
     # Invariants (asserted unconditionally — they are not timing-based).
     # The event engine's gain is algorithmic, not a scheduling artifact:

@@ -286,11 +286,12 @@ def _add_exec_arguments(parser):
     group.add_argument("--static-prune", choices=("off", "safe", "strict"),
                        default="off",
                        help="static testability pruning (default: off; "
-                            "safe drops provably-untestable faults "
-                            "before simulation and removes them from "
-                            "the FC denominator, strict additionally "
-                            "re-simulates every pruned fault per PTP "
-                            "and aborts if one is detected)")
+                            "safe removes provably-untestable faults "
+                            "from the FC denominator, leaving every "
+                            "detected-fault set unchanged; strict "
+                            "additionally re-simulates every pruned "
+                            "fault per PTP and aborts if one is "
+                            "detected)")
     group.add_argument("--incremental", choices=("off", "on", "strict"),
                        default="off",
                        help="cross-run fault-state restore (default: off; "

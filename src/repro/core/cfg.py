@@ -32,15 +32,6 @@ class BasicBlock:
         return self.end - self.start
 
 
-def _branch_targets(instructions):
-    """pc -> target for PC-redirecting instructions (BRA / CAL)."""
-    targets = {}
-    for pc, instr in enumerate(instructions):
-        if instr.op in (Op.BRA, Op.CAL):
-            targets[pc] = instr.target
-    return targets
-
-
 def find_leaders(instructions):
     """Instruction indices that start a basic block."""
     if not instructions:

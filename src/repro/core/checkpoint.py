@@ -22,10 +22,9 @@ checkpoint or the new complete checkpoint — never a torn file.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 from ..errors import CheckpointError
+from ..exec.cache import write_atomic
 
 #: Bumped whenever the checkpoint document layout changes incompatibly.
 FORMAT_VERSION = 1
@@ -129,23 +128,9 @@ class CampaignCheckpoint:
             "order": self.order,
             "modules": self.modules,
         }
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(dir=directory,
-                                         prefix=".checkpoint-",
-                                         suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle, indent=1, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path,
+                     json.dumps(document, indent=1, sort_keys=True),
+                     fsync=True)
 
     @classmethod
     def load(cls, path):

@@ -27,7 +27,6 @@ from ..errors import CompactionError, VerificationError
 from ..exec.incremental import IncrementalFaultSim, validate_incremental_mode
 from ..exec.scheduler import ShardedFaultScheduler
 from ..faults.dropping import FaultListReport
-from ..faults.fault import FaultList
 from ..faults.fault_sim import FaultSimulator
 from ..gpu.gpu import Gpu
 from .fc_eval import evaluate_fc
@@ -182,9 +181,9 @@ class CompactionPipeline:
         self.gpu = gpu or Gpu()
         self.fault_report = FaultListReport(module.netlist,
                                             static_prune=static_prune)
-        self.static_prune = self.fault_report.static_prune
-        if metrics is not None and self.static_prune != "off":
-            metrics.groups["static"]["prune_mode"] = self.static_prune
+        prune_mode = self.fault_report.static_prune
+        if metrics is not None and prune_mode != "off":
+            metrics.groups["static"]["prune_mode"] = prune_mode
             metrics.bump("static.faults_pruned_static",
                          self.fault_report.untestable_faults)
         self.simulator = FaultSimulator(module.netlist)
@@ -203,23 +202,6 @@ class CompactionPipeline:
             self.scheduler = ShardedFaultScheduler(jobs=jobs,
                                                    metrics=metrics)
             self._owns_scheduler = True
-        self.outcomes = []
-        self._eval_list = None
-
-    @property
-    def evaluation_fault_list(self):
-        """The FC fault list: the full collapsed list under
-        ``static_prune="off"`` (seed accounting), the testable list
-        otherwise (proven-untestable faults leave the denominator)."""
-        if self.static_prune == "off":
-            return self.fault_report.full_list
-        if self._eval_list is None:
-            pruned = frozenset(self.fault_report.untestable)
-            self._eval_list = FaultList(
-                self.module.netlist,
-                [f for f in self.fault_report.full_list
-                 if f not in pruned])
-        return self._eval_list
 
     @property
     def jobs(self):
@@ -305,18 +287,17 @@ class CompactionPipeline:
         # filtered target list) and the merged result feeds the drop
         # below, so cross-PTP dropping survives parallel execution.
         hook("fault_simulation", cycles=tracing.cycles)
-        # The remaining list under dropping (already minus the
-        # untestable bucket), the testable list otherwise: pruned faults
-        # never reach the scheduler in any mode.
+        # The remaining list under dropping, the testable list
+        # otherwise: pruned faults never reach the scheduler in any mode.
         target_list = (self.fault_report.remaining if dropping
-                       else self.evaluation_fault_list)
+                       else self.fault_report.testable)
         with self._timed("fault_simulation"):
             fault_result = self._simulate(ptp, traced.patterns, target_list)
         # Strict mode: re-simulate the statically pruned faults against
         # this PTP's patterns under the differential oracle.  Raises (and
         # aborts before the fault report is mutated) if any proof is
         # contradicted by an actual detection.
-        if (self.static_prune == "strict"
+        if (self.fault_report.static_prune == "strict"
                 and self.fault_report.untestable_faults):
             from ..testability.analysis import cross_check_pruned
             checked = cross_check_pruned(self.module.netlist,
@@ -393,10 +374,10 @@ class CompactionPipeline:
                                        reverse_patterns)
             outcome.compacted_cycles = compacted.tracing.cycles
             if evaluate:
-                # The report's own list (full, or testable under static
-                # pruning): the kept detected sets then hold the faults
-                # the report already holds, not a fresh copy per run.
-                eval_list = self.evaluation_fault_list
+                # The report's own FC list: the kept detected sets then
+                # hold the faults the report already holds, not a fresh
+                # copy per run.
+                eval_list = self.fault_report.testable
                 original_eval = evaluate_fc(
                     traced, self.simulator, eval_list,
                     simulate=partial(self._simulate, ptp))
@@ -408,6 +389,4 @@ class CompactionPipeline:
                 outcome.original_detected = original_eval.detected
                 outcome.compacted_detected = compacted_eval.detected
                 outcome.fault_simulations += 2
-
-        self.outcomes.append(outcome)
         return outcome

@@ -37,14 +37,12 @@ class TracingResult:
             test-pattern report).
         cycles: kernel duration in clock cycles (Table I 'Duration').
         instructions: dynamically executed instruction count.
-        kernel_result: the raw :class:`~repro.gpu.gpu.KernelResult`.
     """
 
     trace: list
     pattern_report: object
     cycles: int
     instructions: int
-    kernel_result: object
 
 
 def collector_for(module):
@@ -77,7 +75,6 @@ def run_logic_tracing(ptp, module, gpu=None):
         pattern_report=report,
         cycles=result.cycles,
         instructions=result.instructions,
-        kernel_result=result,
     )
 
 

@@ -42,7 +42,7 @@ FORMAT_VERSION = 1
 #: Layout version of the incremental fault-state records stored by
 #: :class:`repro.exec.incremental.IncrementalFaultSim`; part of their key,
 #: so bumping it orphans (never corrupts) old records.
-FAULT_STATE_VERSION = 1
+FAULT_STATE_VERSION = 2
 
 #: Default LRU size cap (bytes of payload files per cache directory).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -75,6 +75,32 @@ def module_fingerprint(module):
                   for g in netlist.gates],
     }
     return _sha256_of(document)
+
+
+def write_atomic(path, text, fsync=False):
+    """Write *text* to *path* atomically: into a temporary file in the
+    same directory, then ``os.replace``-renamed over *path*, so a kill at
+    any instant leaves the old file or the new one, never a torn one.
+    *fsync* flushes the data to disk before the rename.  The temporary
+    file is removed if anything fails."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, temp_path = tempfile.mkstemp(
+        dir=directory, prefix="." + os.path.basename(path) + "-",
+        suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(temp_path, path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
 
 
 def _sha256_of(document):
@@ -177,26 +203,11 @@ class ArtifactCache:
         # One C-encoded string: json.dump would stream the payload through
         # the pure-Python iterencode.  The bytes are the same either way.
         text = json.dumps(payload, separators=(",", ":"))
-        path = self._path_of(key)
-        directory = os.path.dirname(path)
         try:
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(dir=directory,
-                                             prefix=".entry-",
-                                             suffix=".tmp")
+            write_atomic(self._path_of(key), text)
         except OSError as exc:
             raise CacheError("cannot write cache entry under {!r}: {}"
                              .format(self.directory, exc)) from exc
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
         self.stats["puts"] += 1
         self._enforce_cap()
 
@@ -261,12 +272,7 @@ class ArtifactCache:
 # -- stage-2 tracing memoization -------------------------------------------
 
 def tracing_to_payload(tracing):
-    """JSON payload for a :class:`~repro.core.tracing.TracingResult`.
-
-    The raw ``kernel_result`` is deliberately not captured (it holds the
-    full architectural end state and nothing downstream of stage 2 reads
-    it); cache-hit results carry ``kernel_result=None``.
-    """
+    """JSON payload for a :class:`~repro.core.tracing.TracingResult`."""
     return {
         "cycles": tracing.cycles,
         "instructions": tracing.instructions,
@@ -281,7 +287,7 @@ def tracing_to_payload(tracing):
 
 def tracing_from_payload(payload, module):
     """Rebuild a :class:`~repro.core.tracing.TracingResult` from
-    :func:`tracing_to_payload` output (``kernel_result`` is None)."""
+    :func:`tracing_to_payload` output."""
     from ..core.patterns import PatternReport
     from ..core.tracing import TracingResult
 
@@ -298,8 +304,7 @@ def tracing_from_payload(payload, module):
     return TracingResult(trace=trace,
                          pattern_report=PatternReport(module, records),
                          cycles=payload["cycles"],
-                         instructions=payload["instructions"],
-                         kernel_result=None)
+                         instructions=payload["instructions"])
 
 
 def cached_logic_tracing(ptp, module, gpu, cache):

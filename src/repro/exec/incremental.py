@@ -5,7 +5,7 @@ PTP is edited and re-run, yet a stuck-at fault's detection outcome under
 pattern ``p`` depends **only** on pattern ``p``'s values over the fault's
 supporting primary inputs (:meth:`PropagationSchedule.support_of`): the
 good values on the support fix excitation, every side-input met while the
-effect walks the fanout cone, and the observed outputs the cone drives.
+effect walks the fanout cone, and the module outputs the cone drives.
 This module exploits that locality — the cross-run analogue of the
 event engine's within-run redundancy trimming (ERASER's observation, at
 campaign scope):
@@ -137,8 +137,7 @@ class IncrementalFaultSim:
             self._note(info)
             return result, info
 
-        observed = sorted(simulator.observed)
-        record = self._load(key, observed)
+        record = self._load(key)
         info["record_hit"] = record is not None
         schedule = self._schedule_for(simulator)
 
@@ -200,14 +199,14 @@ class IncrementalFaultSim:
             info["strict_checks"] += 1
             self._strict_check(words, simulator, patterns, fault_list)
 
-        self._store(key, record, observed, groups, group_proj, fault_list,
-                    words, flags, pair_cache)
+        self._store(key, record, groups, group_proj, fault_list, words,
+                    flags, pair_cache)
         self._note(info)
         return result, info
 
     # -- record load / integrity -----------------------------------------
 
-    def _load(self, key, observed):
+    def _load(self, key):
         """The validated record for *key*, or None (missing, stale, or
         corrupt — the cache counts corruption and deletes the entry)."""
         payload = self.cache.get(key)
@@ -217,14 +216,12 @@ class IncrementalFaultSim:
                 or payload.get("format") != FAULT_STATE_VERSION):
             return None  # stale layout: ignore silently
         body = {field: payload.get(field)
-                for field in ("format", "observed", "supports", "groups")}
+                for field in ("format", "supports", "groups")}
         if (payload.get("checksum") != _sha256_of(body)
                 or not isinstance(body["supports"], dict)
                 or not isinstance(body["groups"], dict)):
             self.cache.report_corrupt(key)
             return None
-        if payload["observed"] != observed:
-            return None  # different observation point: not this record
         return payload
 
     # -- projection ------------------------------------------------------
@@ -378,8 +375,8 @@ class IncrementalFaultSim:
 
     # -- store -----------------------------------------------------------
 
-    def _store(self, key, record, observed, groups, group_proj, fault_list,
-               words, flags, pair_cache):
+    def _store(self, key, record, groups, group_proj, fault_list, words,
+               flags, pair_cache):
         """Fold this run's detection state into the record and persist it.
 
         A group none of whose members were re-simulated and whose current
@@ -438,11 +435,9 @@ class IncrementalFaultSim:
             dirty = True
         if not dirty:
             return
-        body = {"format": FAULT_STATE_VERSION, "observed": observed,
-                "supports": pruned, "groups": out_groups}
-        body["checksum"] = _sha256_of(
-            {field: body[field]
-             for field in ("format", "observed", "supports", "groups")})
+        body = {"format": FAULT_STATE_VERSION, "supports": pruned,
+                "groups": out_groups}
+        body["checksum"] = _sha256_of(body)
         self.cache.put(key, body)
 
     # -- plumbing --------------------------------------------------------

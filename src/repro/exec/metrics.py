@@ -25,11 +25,11 @@ fault-sim rates and shard utilization from the ``fault_sim`` sums.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from collections import Counter
 from contextlib import contextmanager
+
+from .cache import write_atomic
 
 #: Bumped whenever the metrics JSON layout changes incompatibly.
 FORMAT_VERSION = 6
@@ -112,22 +112,9 @@ class RunMetrics:
 
     def save(self, path):
         """Atomically persist :meth:`to_dict` as JSON at *path*."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".metrics-",
-                                         suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(self.to_dict(), handle, indent=1, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        write_atomic(path,
+                     json.dumps(self.to_dict(), indent=1, sort_keys=True),
+                     fsync=True)
 
     # -- rendering -------------------------------------------------------
 

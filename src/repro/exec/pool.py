@@ -7,8 +7,8 @@ pattern-set pickling per shard — at small shard sizes the pool was a
 module replaces it with a pool that is created **once per campaign**:
 
 * **Workers persist across runs.**  Each worker process is primed with
-  heavyweight state exactly once per *context* (netlist + observation
-  points + engine, shipped as a one-shot serialized blob) and once per
+  heavyweight state exactly once per *context* (netlist + engine,
+  shipped as a one-shot serialized blob) and once per
   *pattern set*; after that, chunk jobs carry only canonical fault ids,
   so steady-state IPC per job is tiny.
 * **Chunk streaming with dynamic sizing.**  A run's fault list is cut
@@ -25,11 +25,10 @@ module replaces it with a pool that is created **once per campaign**:
   the caller's fault list; a worker sends back only its chunk's first
   detections, and they are merged by slice position, so the merged
   :class:`~repro.faults.fault_sim.FaultSimResult` is bit-identical to
-  the sequential run.  When a chunk is requeued after a worker death and
-  two results for the same fault ever race, the merge keeps the **lowest
-  first-detection cc** (None loses; ties keep the incumbent) — the same
-  lowest-cc / first-writer tie-break
-  :class:`~repro.faults.dropping.FaultListReport` applies.
+  the sequential run.  A chunk's result reaches the merge at most once:
+  a dead worker's pipe is closed before its orphans are requeued, a
+  worker that reports an error sends no result, and a failed dispatch
+  enqueues nothing; a result for a job already merged is skipped.
 * **Fault isolation.**  A worker that dies mid-run (OOM-kill, crash)
   has its in-flight chunks requeued onto the surviving workers; dead
   workers are respawned at the next run.  A chunk that keeps failing
@@ -112,12 +111,11 @@ class _WorkerState:
         self.patterns = {}   # ctx_id -> (pat_id, PatternSet)
 
 
-def _prime_context(state, ctx_id, netlist, observed, engine):
+def _prime_context(state, ctx_id, netlist, engine):
     from ..faults.fault import FaultList
     from ..faults.fault_sim import FaultSimulator
 
-    simulator = FaultSimulator(netlist, observed_outputs=observed,
-                               engine=engine)
+    simulator = FaultSimulator(netlist, engine=engine)
     canonical = FaultList(netlist)
     state.contexts[ctx_id] = (simulator, canonical)
 
@@ -166,9 +164,9 @@ def _worker_main(worker_id, tasks, results):
         job_id = None
         try:
             if tag == "context":
-                __, ctx_id, netlist, observed, engine = message
+                __, ctx_id, netlist, engine = message
                 started = time.perf_counter()
-                _prime_context(state, ctx_id, netlist, observed, engine)
+                _prime_context(state, ctx_id, netlist, engine)
                 results.send(("primed", worker_id, ctx_id,
                               time.perf_counter() - started))
             elif tag == "patterns":
@@ -186,22 +184,19 @@ def _worker_main(worker_id, tasks, results):
 # -- parent side ------------------------------------------------------------
 
 class _Context:
-    """Parent-side registry entry for one (netlist, observed, engine)."""
+    """Parent-side registry entry for one (netlist, engine)."""
 
-    __slots__ = ("ctx_id", "netlist", "observed", "engine", "index",
-                 "pattern")
+    __slots__ = ("ctx_id", "netlist", "engine", "index", "pattern")
 
-    def __init__(self, ctx_id, netlist, observed, engine, index):
+    def __init__(self, ctx_id, netlist, engine, index):
         self.ctx_id = ctx_id
         self.netlist = netlist
-        self.observed = observed
         self.engine = engine
         self.index = index          # canonical fault -> id
         self.pattern = None         # latest (patterns, pat_id)
 
-    def matches(self, netlist, observed, engine):
-        return (self.netlist is netlist and self.observed == observed
-                and self.engine == engine)
+    def matches(self, netlist, engine):
+        return self.netlist is netlist and self.engine == engine
 
 
 class _Worker:
@@ -269,18 +264,16 @@ class WorkerPool:
 
     def context_for(self, simulator):
         """The pool's :class:`_Context` for *simulator* (registered on
-        first sight; identity is the netlist object + observed nets +
-        engine, so one pool serves every module of a campaign)."""
-        observed = tuple(simulator.observed)
+        first sight; identity is the netlist object + engine, so one
+        pool serves every module of a campaign)."""
         for context in self._contexts:
-            if context.matches(simulator.netlist, observed,
-                               simulator.engine):
+            if context.matches(simulator.netlist, simulator.engine):
                 return context
         from ..faults.fault import FaultList
 
         canonical = FaultList(simulator.netlist)
         index = {fault: i for i, fault in enumerate(canonical)}
-        context = _Context(next(self._ids), simulator.netlist, observed,
+        context = _Context(next(self._ids), simulator.netlist,
                            simulator.engine, index)
         self._contexts.append(context)
         return context
@@ -379,7 +372,7 @@ class WorkerPool:
         """Send *worker* whatever context/pattern state it lacks."""
         if context.ctx_id not in worker.contexts:
             worker.tasks.put(("context", context.ctx_id, context.netlist,
-                              list(context.observed), context.engine))
+                              context.engine))
             worker.contexts.add(context.ctx_id)
             self._bump("contexts_shipped")
         if worker.patterns.get(context.ctx_id) != pat_id:
@@ -415,7 +408,6 @@ class WorkerPool:
             jobs[job.job_id] = job
 
         firsts = [None] * total
-        filled = [False] * total
         busy = []
         stats = {}
         unassigned = list(jobs.values())
@@ -448,28 +440,15 @@ class WorkerPool:
                     "fault chunk at offset {} failed on {} worker(s) and "
                     "inline: {!r}".format(job.start, job.retries, exc)
                 ) from exc
-            end = job.start + len(job.entries)
-            firsts[job.start:end] = result.first_detection
-            filled[job.start:end] = [True] * len(job.entries)
+            firsts[job.start:job.start + len(job.entries)] = \
+                result.first_detection
             self._bump("chunks_inline")
 
         def absorb(job, chunk_firsts, chunk_busy, chunk_stats):
             busy.append(chunk_busy)
             for key, value in chunk_stats.items():
                 stats[key] = stats.get(key, 0) + value
-            for offset, first in enumerate(chunk_firsts):
-                position = job.start + offset
-                if not filled[position]:
-                    firsts[position] = first
-                    filled[position] = True
-                    continue
-                # Duplicate result after a requeue race: keep the lower
-                # first-detection cc (None loses, ties keep the
-                # incumbent) — FaultListReport's own tie-break.
-                incumbent = firsts[position]
-                if first is not None and (incumbent is None
-                                          or first < incumbent):
-                    firsts[position] = first
+            firsts[job.start:job.start + len(chunk_firsts)] = chunk_firsts
 
         # Prefill a two-deep window per worker so nobody idles while the
         # parent merges, then stream: one fresh chunk per finished chunk.
@@ -543,8 +522,8 @@ class WorkerPool:
                 if unassigned and worker.alive:
                     dispatch(worker, unassigned.pop())
             job = jobs.get(job_id)
-            if job is None:
-                continue            # stale result from an earlier run
+            if job is None or job_id in done:
+                continue            # an earlier run's, or already merged
             absorb(job, *payload)
             done.add(job_id)
         return firsts, busy, stats

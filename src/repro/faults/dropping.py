@@ -30,27 +30,31 @@ class FaultListReport:
             denominator (:meth:`coverage` divides by
             :attr:`testable_faults`).  ``"off"`` preserves the seed
             accounting exactly.
-        observed: observation nets for the untestability proofs
-            (default: primary outputs).
+
+    Attributes:
+        testable: the :class:`FaultList` the FC counts — :attr:`full_list`
+            itself when nothing is proven untestable, else the full list
+            minus the :attr:`untestable` bucket, in full-list order.
+            :attr:`remaining` is always a subsequence of it.
     """
 
-    def __init__(self, netlist, static_prune="off", observed=None):
+    def __init__(self, netlist, static_prune="off"):
         self.netlist = netlist
         self.full_list = FaultList(netlist)
+        self.testable = self.full_list
         if static_prune in (None, "off"):
             self.static_prune = "off"
-            self.untestable = FaultList(netlist, [])
             self.proofs = {}
         else:
-            from ..testability.analysis import TestabilityAnalysis, validate_prune_mode
+            from ..testability.analysis import validate_prune_mode
+            from ..testability.untestable import UntestabilityProver
             self.static_prune = validate_prune_mode(static_prune)
-            analysis = TestabilityAnalysis(netlist, observed=observed)
-            self.proofs = analysis.untestable(self.full_list)
-            self.untestable = FaultList(netlist, list(self.proofs))
-        self._pruned_set = frozenset(self.untestable)
-        self.remaining = FaultList(
-            netlist, [f for f in self.full_list
-                      if f not in self._pruned_set])
+            self.proofs = UntestabilityProver(netlist).untestable(
+                self.full_list)
+            if self.proofs:
+                self.testable = self.full_list.without(self.proofs)
+        self.untestable = FaultList(netlist, list(self.proofs))
+        self.remaining = self.testable
         self._detected_by = {}  # fault -> label of the PTP that detected it
 
     @property
@@ -65,9 +69,8 @@ class FaultListReport:
 
     @property
     def testable_faults(self):
-        """The FC denominator under static pruning: total minus proven
-        untestable."""
-        return self.total_faults - self.untestable_faults
+        """The FC denominator: the size of :attr:`testable`."""
+        return len(self.testable)
 
     @property
     def remaining_faults(self):
@@ -130,10 +133,8 @@ class FaultListReport:
         return 100.0 * self.detected_faults / self.testable_faults
 
     def reset(self):
-        """Restore the full fault list (new compaction campaign)."""
-        self.remaining = FaultList(
-            self.netlist, [f for f in self.full_list
-                           if f not in self._pruned_set])
+        """Restore the testable fault list (new compaction campaign)."""
+        self.remaining = self.testable
         self._detected_by = {}
 
     # -- checkpoint state -----------------------------------------------
@@ -201,7 +202,4 @@ class FaultListReport:
                     "fault id {} outside the fault list".format(fault_id))
             detected_by[self.full_list[fault_id]] = label
         self._detected_by = detected_by
-        self.remaining = FaultList(
-            self.netlist,
-            [f for f in self.full_list
-             if f not in detected_by and f not in self._pruned_set])
+        self.remaining = self.testable.without(detected_by)

@@ -120,11 +120,12 @@ class FaultSimResult:
 class FaultSimulator:
     """Module-level stuck-at fault simulator.
 
+    The observation point is every primary output of *netlist*
+    (module-level observability); :meth:`run_signature` reads the result
+    bus it is given instead.
+
     Args:
         netlist: finalized target-module netlist.
-        observed_outputs: optional subset of output nets used as the
-            observation point; defaults to all primary outputs
-            (module-level observability).
         engine: ``"event"`` (default) or the ``"cone"`` reference — see
             the module docstring.  Results are bit-identical either way.
 
@@ -140,20 +141,12 @@ class FaultSimulator:
             per fault and run.
     """
 
-    def __init__(self, netlist, observed_outputs=None, engine="event"):
+    def __init__(self, netlist, engine="event"):
         netlist.finalize()
         self.netlist = netlist
-        if observed_outputs is None:
-            observed_outputs = list(netlist.outputs)
-        unknown = [n for n in observed_outputs if n not in set(
-            netlist.outputs)]
-        if unknown:
-            raise FaultSimError("observed nets {} are not outputs"
-                                .format(unknown))
         if engine not in ENGINES:
             raise FaultSimError("unknown engine {!r}; expected one of {}"
                                 .format(engine, ENGINES))
-        self.observed = list(observed_outputs)
         self.engine = engine
         self._logic = LogicSimulator(netlist)
         self._cone_cache = {}
@@ -168,7 +161,7 @@ class FaultSimulator:
         else:
             self._pruned = _never_pruned
             self._effect = self._effect_cone
-        self._observed_targets = frozenset(self.observed)
+        self._observed_targets = frozenset(netlist.outputs)
         self._good_values_cache = (None, None)
         self.stats = {"gates_evaluated": 0, "gates_skipped": 0,
                       "faults_inactive": 0, "faults_pruned": 0}

@@ -67,8 +67,8 @@ class TransitionFaultSimulator:
     patterns count.
     """
 
-    def __init__(self, netlist, observed_outputs=None):
-        self._stuck = FaultSimulator(netlist, observed_outputs)
+    def __init__(self, netlist):
+        self._stuck = FaultSimulator(netlist)
         self.netlist = netlist
 
     def run(self, patterns, faults=None):

@@ -20,9 +20,6 @@ class Monitor:
         self.trace = []
         self.collectors = list(collectors)
 
-    def add_collector(self, collector):
-        self.collectors.append(collector)
-
     def on_decode(self, cc, block, warp, pc, instr):
         for collector in self.collectors:
             collector.on_decode(cc, block, warp, pc, instr)

@@ -107,17 +107,14 @@ class SpCoreCollector(StimulusCollector):
 
     module_name = "sp_core"
 
-    def __init__(self, width, lane_filter=None):
+    def __init__(self, width):
         super().__init__()
         self.width = width
         self.mask = (1 << width) - 1
-        self.lane_filter = lane_filter
 
     def on_execute_beat(self, cc, block, warp, lane, pc, instr, operands,
                         thread):
         if instr.unit is not Unit.SP:
-            return
-        if self.lane_filter is not None and lane != self.lane_filter:
             return
         spop = ISA_TO_SPOP.get(instr.op, SPOp.PASS)
         a, b, c = operands

@@ -191,21 +191,6 @@ class Netlist:
             raise NetlistError("finalize() the netlist first")
         return max(self._level.values(), default=0)
 
-    def cone_from_gate(self, gate_index):
-        """Gate indices in the transitive fanout of *gate_index*, in
-        topological order and including the gate itself."""
-        if not self._finalized:
-            raise NetlistError("finalize() the netlist first")
-        seen = {gate_index}
-        frontier_nets = [self.gates[gate_index].output]
-        while frontier_nets:
-            net = frontier_nets.pop()
-            for g_idx in self.fanout_gates(net):
-                if g_idx not in seen:
-                    seen.add(g_idx)
-                    frontier_nets.append(self.gates[g_idx].output)
-        return sorted(seen)
-
     def cone_from_net(self, net):
         """Gate indices in the transitive fanout of *net*, topological."""
         if not self._finalized:

@@ -11,13 +11,13 @@ simulation pattern:
 * :mod:`~repro.testability.untestable` — untestability *proofs*
   (UT001/UT002/UT003), the only analysis allowed to prune faults.
 
-:mod:`~repro.testability.analysis` ties them together behind
-:class:`TestabilityAnalysis` and the ``repro analyze`` report.
+:mod:`~repro.testability.analysis` runs all three for the ``repro
+analyze`` report and holds the static-prune mode and its strict
+cross-check.
 """
 
 from .analysis import (
     PRUNE_MODES,
-    TestabilityAnalysis,
     TestabilityReport,
     analyze_module,
     cross_check_pruned,
@@ -33,7 +33,6 @@ __all__ = [
     "PRUNE_MODES",
     "DominanceResult",
     "ScoapScores",
-    "TestabilityAnalysis",
     "TestabilityReport",
     "UntestabilityProof",
     "UntestabilityProver",

@@ -1,20 +1,15 @@
-"""Static testability engine facade (the pre-simulation triage layer).
+"""The static-prune mode and the ``repro analyze`` report.
 
-:class:`TestabilityAnalysis` bundles the three static analyses over one
-netlist + observation set — SCOAP scores, dominance collapsing, and
-untestability proofs — behind the interface the compaction flow consumes:
+The compaction flow reaches the untestability prover through
+:class:`~repro.faults.dropping.FaultListReport`, whose ``static_prune``
+mode :func:`validate_prune_mode` checks.  :func:`cross_check_pruned` is
+the ``strict`` mode's differential oracle: it re-simulates every pruned
+fault with the ``cone`` reference engine and raises if any proof is ever
+contradicted by an actual detection.
 
-* :meth:`TestabilityAnalysis.untestable` — provably undetectable faults
-  (the ``--static-prune safe`` pruning set: removing them cannot change
-  any detected-fault set);
-* :meth:`TestabilityAnalysis.dominance` — the id-preserving dominance
-  class map for reports and ``repro analyze``.
-
-:func:`cross_check_pruned` is the ``strict`` mode's differential oracle:
-it re-simulates every pruned fault with the ``cone`` reference engine and
-raises if any proof is ever contradicted by an actual detection.
-
-:func:`analyze_module` produces the ``repro analyze`` report document.
+:func:`analyze_module` runs SCOAP, the untestability prover and
+dominance collapsing over one module and produces the ``repro analyze``
+report document.
 """
 
 from __future__ import annotations
@@ -41,65 +36,7 @@ def validate_prune_mode(mode):
     return mode
 
 
-class TestabilityAnalysis:
-    """Static testability analyses of one netlist + observation set.
-
-    Everything is computed lazily and cached: SCOAP and the constant map
-    are one pass each, untestability proofs are one pass over the fault
-    list plus per-seed implication walks, dominance is one pass over the
-    gates.
-
-    Args:
-        netlist: finalized netlist.
-        observed: observation-point nets (default: the primary outputs —
-            module-level observability, matching
-            :class:`~repro.faults.fault_sim.FaultSimulator`).
-    """
-
-    __test__ = False  # name starts with Test*; keep pytest from collecting
-
-    def __init__(self, netlist, observed=None):
-        netlist.finalize()
-        self.netlist = netlist
-        if observed is None:
-            observed = list(netlist.outputs)
-        self.observed = tuple(observed)
-        self._scoap = None
-        self._prover = None
-
-    @property
-    def scoap(self):
-        """The :class:`~repro.testability.scoap.ScoapScores` (lazy)."""
-        if self._scoap is None:
-            self._scoap = compute_scoap(self.netlist, self.observed)
-        return self._scoap
-
-    @property
-    def prover(self):
-        """The :class:`~repro.testability.untestable.UntestabilityProver`
-        (lazy)."""
-        if self._prover is None:
-            self._prover = UntestabilityProver(self.netlist, self.observed)
-        return self._prover
-
-    # -- untestability ----------------------------------------------------
-
-    def prove_untestable(self, fault):
-        return self.prover.prove(fault)
-
-    def untestable(self, faults):
-        """Ordered ``{fault: proof}`` over *faults* (the safe prune set)."""
-        return self.prover.untestable(faults)
-
-    # -- dominance --------------------------------------------------------
-
-    def dominance(self, fault_list):
-        """Dominance-collapse *fault_list*; see
-        :func:`repro.testability.dominance.collapse_dominance`."""
-        return collapse_dominance(self.netlist, fault_list, self.observed)
-
-
-def cross_check_pruned(netlist, patterns, pruned, observed=None):
+def cross_check_pruned(netlist, patterns, pruned):
     """Differential oracle of ``--static-prune strict``: simulate every
     statically pruned fault and raise if any is detected.
 
@@ -111,7 +48,6 @@ def cross_check_pruned(netlist, patterns, pruned, observed=None):
         netlist: the module netlist.
         patterns: the pattern set the main simulation used.
         pruned: iterable of statically pruned faults.
-        observed: observation nets (default: primary outputs).
 
     Returns:
         The number of cross-checked faults.
@@ -126,8 +62,7 @@ def cross_check_pruned(netlist, patterns, pruned, observed=None):
     pruned = list(pruned)
     if not pruned or patterns.count == 0:
         return len(pruned)
-    simulator = FaultSimulator(netlist, observed_outputs=observed,
-                               engine="cone")
+    simulator = FaultSimulator(netlist, engine="cone")
     result = simulator.run(patterns, FaultList(netlist, pruned))
     detected = result.detected_faults
     if detected:
@@ -233,8 +168,9 @@ def _jsonable_scoap(summary):
     return clean
 
 
-def analyze_module(netlist, observed=None, name=None):
-    """Run the full static testability analysis of one module netlist.
+def analyze_module(netlist, name=None):
+    """Run the full static testability analysis of one module netlist,
+    observed at its primary outputs.
 
     Returns a :class:`TestabilityReport` covering SCOAP summary
     statistics, dominance classes, and every untestability proof over
@@ -242,20 +178,19 @@ def analyze_module(netlist, observed=None, name=None):
     """
     from ..faults.fault import FaultList
 
-    analysis = TestabilityAnalysis(netlist, observed=observed)
     fault_list = FaultList(netlist)
-    proofs = analysis.untestable(fault_list)
+    proofs = UntestabilityProver(netlist).untestable(fault_list)
     by_kind = {}
     for proof in proofs.values():
         by_kind[proof.kind] = by_kind.get(proof.kind, 0) + 1
-    dominance = analysis.dominance(fault_list)
+    dominance = collapse_dominance(netlist, fault_list)
     return TestabilityReport(
         module=name or netlist.name,
         gates=netlist.num_gates,
         nets=netlist.num_nets,
-        observed=len(analysis.observed),
+        observed=len(netlist.outputs),
         total_faults=len(fault_list),
-        scoap=scoap_summary(analysis.scoap),
+        scoap=scoap_summary(compute_scoap(netlist)),
         dominance_classes=dominance.num_classes,
         dominance_collapsed_away=dominance.num_collapsed_away,
         untestable_by_kind=by_kind,
@@ -263,6 +198,6 @@ def analyze_module(netlist, observed=None, name=None):
     )
 
 
-__all__ = ["TestabilityAnalysis", "TestabilityReport", "analyze_module",
+__all__ = ["TestabilityReport", "analyze_module",
            "cross_check_pruned", "validate_prune_mode", "PRUNE_MODES",
            "PROOF_KINDS"]

@@ -33,7 +33,6 @@ def test_tracing_rejects_mismatched_target(sp_module, gpu):
 def test_tracing_artifacts_consistent(du_module, gpu):
     imm = generate_imm(seed=1, num_sbs=5)
     tracing = run_logic_tracing(imm, du_module, gpu=gpu)
-    assert tracing.cycles == tracing.kernel_result.cycles
     assert tracing.instructions == len(tracing.trace)
     assert tracing.pattern_report.module is du_module
     # DU patterns: one per decoded instruction per warp.

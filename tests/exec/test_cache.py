@@ -132,13 +132,11 @@ def test_cached_logic_tracing_round_trip(cache, du_module):
     assert (cache.stats["hits"], cache.stats["misses"]) == (0, 1)
     second = cached_logic_tracing(ptp, du_module, gpu, cache)
     assert (cache.stats["hits"], cache.stats["misses"]) == (1, 1)
-    # The reconstructed artifact is equivalent in every consumed field...
+    # The reconstructed artifact is equivalent in every field.
     assert second.cycles == first.cycles
     assert second.instructions == first.instructions
     assert second.trace == first.trace
     assert second.pattern_report.records == first.pattern_report.records
-    # ...except the deliberately uncached raw kernel result.
-    assert second.kernel_result is None
     assert cache.stats == {"hits": 1, "misses": 1, "puts": 1,
                            "evictions": 0, "corrupt": 0}
 
@@ -161,8 +159,13 @@ def test_cached_payload_feeds_identical_fault_sim(cache, du_module):
 
 def test_without_cache_degrades_to_plain_tracing(du_module):
     ptp = generate_imm(seed=4, num_sbs=3)
+    from repro.core.tracing import run_logic_tracing
+
     tracing = cached_logic_tracing(ptp, du_module, Gpu(), None)
-    assert tracing.kernel_result is not None
+    plain = run_logic_tracing(ptp, du_module, gpu=Gpu())
+    assert tracing.cycles == plain.cycles
+    assert tracing.trace == plain.trace
+    assert tracing.pattern_report.records == plain.pattern_report.records
 
 
 def test_entry_files_are_compact_json(cache, du_module):

@@ -344,7 +344,7 @@ def test_strict_mode_catches_a_forged_record(cache):
                 break
         assert flipped
         body = {field: payload[field]
-                for field in ("format", "observed", "supports", "groups")}
+                for field in ("format", "supports", "groups")}
         payload["checksum"] = _sha256_of(body)
         with open(path, "w") as handle:
             json.dump(payload, handle)

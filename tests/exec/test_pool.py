@@ -76,8 +76,7 @@ def test_pool_keeps_only_the_latest_pattern_set(workload):
 
     # Worker side: a second prime for the same context replaces the first.
     state = pool_mod._WorkerState()
-    pool_mod._prime_context(state, 0, simulator.netlist,
-                            list(simulator.observed), simulator.engine)
+    pool_mod._prime_context(state, 0, simulator.netlist, simulator.engine)
     for pat_id in (1, 2):
         pool_mod._prime_patterns(state, 0, pat_id, patterns.packed,
                                  patterns.count)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import FaultSimError
 from repro.faults import OUTPUT_PIN, FaultList, FaultSimulator, StuckAtFault
 from repro.netlist import GateType, Netlist
 
@@ -38,12 +37,6 @@ def test_detected_and_undetected_views():
     result = FaultSimulator(nl).run(patterns, fl)
     assert result.detected_faults == [fl[0]]
     assert result.undetected_faults == [fl[1]]
-
-
-def test_bad_observed_output_rejected():
-    nl, a, b, x = _nl()
-    with pytest.raises(FaultSimError):
-        FaultSimulator(nl, observed_outputs=[a])
 
 
 def test_coverage_of_empty_list():

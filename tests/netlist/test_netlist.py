@@ -86,7 +86,6 @@ def test_cone_from_net():
     nl.finalize()
     assert nl.cone_from_net(a) == [0, 1, 3]
     assert nl.cone_from_net(b) == [0, 1, 2, 3]
-    assert nl.cone_from_gate(1) == [1, 3]
 
 
 def test_levelized_order_is_topological():

@@ -1,4 +1,4 @@
-"""Flow wiring: report accounting, checkpoint compat, metrics, facade."""
+"""Flow wiring: report accounting, checkpoint compat, metrics, prover."""
 
 import json
 
@@ -10,7 +10,12 @@ from repro.faults import FaultList
 from repro.faults.dropping import FaultListReport
 from repro.netlist import GateType, Netlist
 from repro.netlist.netlist import CONST0
-from repro.testability import TestabilityAnalysis, analyze_module
+from repro.testability import (
+    UntestabilityProver,
+    analyze_module,
+    compute_scoap,
+    validate_prune_mode,
+)
 
 
 def _module_netlist():
@@ -63,6 +68,28 @@ def test_coverage_denominator_excludes_untestable_bucket():
     assert safe.coverage() == 0.0
 
 
+def test_testable_list_is_the_one_fc_list():
+    nl = _module_netlist()
+    off = FaultListReport(nl)
+    assert off.testable is off.full_list
+    assert off.remaining is off.testable
+
+    safe = FaultListReport(nl, static_prune="safe")
+    assert list(safe.testable) == [f for f in safe.full_list
+                                   if f not in safe.proofs]
+    assert list(safe.remaining) == list(safe.testable)
+    detected = list(safe.testable)[1:4]
+    safe.drop(detected, "IMM")
+    expected = [f for f in safe.testable if f not in detected]
+    assert list(safe.remaining) == expected
+    state = safe.state_dict()
+    fresh = FaultListReport(nl, static_prune="safe")
+    fresh.restore_state(state)
+    assert list(fresh.remaining) == expected
+    safe.reset()
+    assert list(safe.remaining) == list(safe.testable)
+
+
 def test_checkpoint_state_roundtrip_and_mode_guard():
     nl = _module_netlist()
     safe = FaultListReport(nl, static_prune="safe")
@@ -105,19 +132,17 @@ def test_metrics_static_gauges_accumulate_and_render(du_module):
     assert "prune=safe" in metrics.summary_table()
 
 
-def test_analysis_facade_validates_and_scores():
+def test_prover_matches_report_and_scores():
     nl = _module_netlist()
-    analysis = TestabilityAnalysis(nl)
-    # The facade's proofs are exactly the report's safe-prune bucket.
-    proofs = analysis.untestable(FaultList(nl))
+    # The prover's proofs are exactly the report's safe-prune bucket.
+    proofs = UntestabilityProver(nl).untestable(FaultList(nl))
     assert list(proofs) == list(
         FaultListReport(nl, static_prune="safe").untestable)
-    scores = analysis.scoap
+    scores = compute_scoap(nl)
     for net in nl.inputs:
         assert scores.cc0[net] == scores.cc1[net] == 1
     for net in nl.outputs:
         assert scores.co[net] == 0
-    from repro.testability import validate_prune_mode
     assert validate_prune_mode(None) == "off"
     with pytest.raises(TestabilityError):
         validate_prune_mode("bogus")
