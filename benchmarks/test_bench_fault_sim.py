@@ -2,7 +2,7 @@
 
 Times one decoder-unit stuck-at fault simulation over the IMM pattern
 set, for the production ``event`` engine and the ``cone`` reference,
-inline and through the persistent worker pool at 2 jobs, asserts all
+inline and through two forked workers, asserts all
 configurations stay bit-identical, and writes ``BENCH_fault_sim.json``
 at the repo root (patterns/s, faults/s, speedups over the sequential
 cone walk, pool speedup, gates evaluated vs. skipped).
@@ -11,11 +11,10 @@ These are stage-3 microbenchmark numbers on one small module, not
 campaign speedups: the end-to-end campaign benchmark is
 ``perfbench/run.py`` (``BENCHMARK.json``).
 
-The schedulers are long-lived across the timed repeats, so the pooled
-rows measure steady-state chunk-streaming throughput: workers are
-spawned and primed on the first (discarded) repeat and only stream
-lightweight fault-chunk jobs afterwards — the same warm path a campaign
-sees from its second PTP on.
+Each pooled repeat forks its own workers, as every pooled run of a
+campaign does, so the pooled rows include the fork and the join.
+Nothing is primed: the workers inherit the simulator, its good values
+(memoized by the first repeat) and the fault list.
 
 Speedup across job counts is hardware-dependent: on a single-core runner
 the pooled path pays IPC overhead for no gain (speedup <= 1), which the
@@ -54,9 +53,8 @@ _OUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def _time_run(fn, repeats=3):
-    """Best-of-N wall time (minimizes scheduler noise on shared runners,
-    and lets persistent pools amortize their one-time spawn/prime cost
-    out of the measurement)."""
+    """Best-of-N wall time (minimizes scheduler noise on shared
+    runners)."""
     best = None
     result = None
     for __ in range(repeats):
@@ -87,47 +85,42 @@ def test_bench_cone_vs_event_fault_sim():
     patterns = tracing.pattern_report.to_pattern_set()
     fault_list = FaultList(module.netlist)
 
-    # One persistent scheduler per job count, reused across both engines
-    # (the pool primes one worker context per (netlist, engine) pair).
+    # One scheduler per job count, reused across both engines.
     schedulers = {
         jobs: ShardedFaultScheduler(jobs=jobs, metrics=RunMetrics())
         for jobs in _JOB_COUNTS
     }
     baseline = None
     rows = []
-    try:
-        for engine in _ENGINES:
-            simulator = FaultSimulator(module.netlist, engine=engine)
-            for jobs in _JOB_COUNTS:
-                scheduler = schedulers[jobs]
-                last = {}
-                seconds, result = _time_run(
-                    lambda: _counted_run(scheduler, simulator, patterns,
-                                         fault_list, last))
-                if baseline is None:
-                    baseline = result
-                else:
-                    assert (result.first_detection
-                            == baseline.first_detection)
-                pooled_seconds = last.get("pooled_job_seconds")
-                rows.append({
-                    "engine": engine,
-                    "jobs": jobs,
-                    "seconds": seconds,
-                    "patterns_per_second": patterns.count / seconds,
-                    "faults_per_second": len(fault_list) / seconds,
-                    "gates_evaluated": last.get("gates_evaluated"),
-                    "gates_skipped": last.get("gates_skipped"),
-                    "chunks": last.get("chunks"),
-                    "shard_utilization": (
-                        last["busy_seconds"] / pooled_seconds
-                        if pooled_seconds else None),
-                    "inline_fallback": bool(last.get("inline_fallback")),
-                })
-        pool_gauges = dict(schedulers[2].metrics.pool)
-    finally:
-        for scheduler in schedulers.values():
-            scheduler.close()
+    for engine in _ENGINES:
+        simulator = FaultSimulator(module.netlist, engine=engine)
+        for jobs in _JOB_COUNTS:
+            scheduler = schedulers[jobs]
+            last = {}
+            seconds, result = _time_run(
+                lambda: _counted_run(scheduler, simulator, patterns,
+                                     fault_list, last))
+            if baseline is None:
+                baseline = result
+            else:
+                assert (result.first_detection
+                        == baseline.first_detection)
+            pooled_seconds = last.get("pooled_job_seconds")
+            rows.append({
+                "engine": engine,
+                "jobs": jobs,
+                "seconds": seconds,
+                "patterns_per_second": patterns.count / seconds,
+                "faults_per_second": len(fault_list) / seconds,
+                "gates_evaluated": last.get("gates_evaluated"),
+                "gates_skipped": last.get("gates_skipped"),
+                "chunks": last.get("chunks"),
+                "shard_utilization": (
+                    last["busy_seconds"] / pooled_seconds
+                    if pooled_seconds else None),
+                "inline_fallback": bool(last.get("inline_fallback")),
+            })
+    pool_gauges = dict(schedulers[2].metrics.pool)
 
     by_config = {(row["engine"], row["jobs"]): row for row in rows}
     cone_sequential = by_config[("cone", 1)]["seconds"]

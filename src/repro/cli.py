@@ -175,12 +175,12 @@ def cmd_compact(args):
     ptp = load_ptp(args.ptp_dir)
     module = _build_module(ptp.target, args.width)
     jobs, cache, metrics = _exec_options(args)
-    with CompactionPipeline(module, jobs=jobs, cache=cache,
-                            metrics=metrics, verify=args.verify,
-                            static_prune=args.static_prune,
-                            incremental=args.incremental) as pipeline:
-        outcome = pipeline.compact(ptp, reverse_patterns=args.reverse,
-                                   evaluate=not args.no_evaluate)
+    pipeline = CompactionPipeline(module, jobs=jobs, cache=cache,
+                                  metrics=metrics, verify=args.verify,
+                                  static_prune=args.static_prune,
+                                  incremental=args.incremental)
+    outcome = pipeline.compact(ptp, reverse_patterns=args.reverse,
+                               evaluate=not args.no_evaluate)
     save_ptp(outcome.compacted, args.out)
     print(write_compaction_summary(outcome))
     if outcome.verification is not None and outcome.verification.diagnostics:
@@ -423,11 +423,21 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so that a closed stdout raises below rather than
+        # at interpreter exit.
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print("repro: {}: {}".format(type(exc).__name__, exc),
               file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``repro ... | head``).  Point stdout
+        # at devnull so that the exit flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

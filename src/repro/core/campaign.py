@@ -350,10 +350,8 @@ def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
     through its own fresh :class:`CompactionPipeline`; the shared
     checkpoint keys fault-dropping state by module name, so a kill at
     any PTP boundary resumes every module correctly.  ONE
-    :class:`~repro.exec.scheduler.ShardedFaultScheduler` (and therefore
-    one persistent worker pool) spans every module and PTP of the
-    campaign — workers are spawned once, primed per netlist context, and
-    torn down when the last module finishes.
+    :class:`~repro.exec.scheduler.ShardedFaultScheduler` serves every
+    module and PTP of the campaign.
 
     Args:
         stl: the :class:`~repro.stl.ptp.SelfTestLibrary` (mutated).
@@ -372,9 +370,8 @@ def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
             (``"strict"``/``"warn"``/``"off"``); a strict failure is
             isolated like any other per-PTP error and the diagnostics
             land in the checkpoint.
-        scheduler: optional caller-owned scheduler (the campaign then
-            leaves it open on return); without one a campaign-lifetime
-            scheduler is built from *jobs* and closed in a ``finally``.
+        scheduler: optional caller-built scheduler; without one the
+            campaign builds its own from *jobs*.
         static_prune: static-testability pruning mode for every
             per-module pipeline (``"off"``/``"safe"``/``"strict"``; see
             :class:`CompactionPipeline`).
@@ -399,23 +396,18 @@ def run_stl_campaign(stl, modules, gpu=None, checkpoint=None, resume=False,
     if missing:
         raise CampaignError("no module build for target(s) {}".format(
             ", ".join(sorted(missing))))
-    owns_scheduler = scheduler is None
-    if owns_scheduler:
+    if scheduler is None:
         scheduler = ShardedFaultScheduler(jobs=jobs, metrics=metrics)
     reports = []
-    try:
-        for target in targets:
-            campaign = CompactionCampaign(
-                CompactionPipeline(modules[target], gpu=gpu,
-                                   cache=cache, metrics=metrics,
-                                   verify=verify,
-                                   scheduler=scheduler,
-                                   static_prune=static_prune,
-                                   incremental=incremental),
-                checkpoint=checkpoint, **kwargs)
-            reports.append(campaign.run(stl, reverse_for=reverse_for,
-                                        evaluate=evaluate, resume=resume))
-    finally:
-        if owns_scheduler:
-            scheduler.close()
+    for target in targets:
+        campaign = CompactionCampaign(
+            CompactionPipeline(modules[target], gpu=gpu,
+                               cache=cache, metrics=metrics,
+                               verify=verify,
+                               scheduler=scheduler,
+                               static_prune=static_prune,
+                               incremental=incremental),
+            checkpoint=checkpoint, **kwargs)
+        reports.append(campaign.run(stl, reverse_for=reverse_for,
+                                    evaluate=evaluate, resume=resume))
     return reports

@@ -124,15 +124,12 @@ class CompactionPipeline:
             memoizing stage-2 tracing artifacts across runs.
         metrics: optional :class:`~repro.exec.metrics.RunMetrics`
             accumulating stage timings and the ``verify``/``static``
-            counters (the scheduler, pool and incremental layer add
+            counters (the scheduler and the incremental layer add
             theirs).
         scheduler: optional shared
             :class:`~repro.exec.scheduler.ShardedFaultScheduler` — a
-            campaign passes one scheduler to every per-module pipeline so
-            the worker pool (and its primed netlist/pattern state)
-            persists across modules and PTPs.  The caller that built the
-            scheduler owns its lifetime; without one the pipeline builds
-            its own from *jobs* and :meth:`close` shuts it down.
+            campaign passes one scheduler to every per-module pipeline;
+            without one the pipeline builds its own from *jobs*.
         verify: static-verification gate on the reduced PTP, run between
             stage 4 and stage 5 (:func:`repro.verify.verify_compaction`):
             ``"warn"`` (default) records the diagnostics on the outcome,
@@ -195,30 +192,13 @@ class CompactionPipeline:
         else:
             self._incremental = IncrementalFaultSim(
                 cache, metrics=metrics, mode=self.incremental)
-        if scheduler is not None:
-            self.scheduler = scheduler
-            self._owns_scheduler = False
-        else:
-            self.scheduler = ShardedFaultScheduler(jobs=jobs,
-                                                   metrics=metrics)
-            self._owns_scheduler = True
+        self.scheduler = scheduler or ShardedFaultScheduler(
+            jobs=jobs, metrics=metrics)
 
     @property
     def jobs(self):
         """Resolved stage-3 worker process count (1 = sequential)."""
         return self.scheduler.jobs
-
-    def close(self):
-        """Shut down the pipeline's worker pool.  No-op when the
-        scheduler was passed in (the owner closes it)."""
-        if self._owns_scheduler:
-            self.scheduler.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
     def _timed(self, stage):
         """Stage-timer context (no-op without a metrics object)."""
@@ -240,7 +220,7 @@ class CompactionPipeline:
         return result
 
     def compact(self, ptp, reverse_patterns=False, evaluate=True,
-                dropping=True, stage_hook=None):
+                stage_hook=None):
         """Compact one PTP; returns a :class:`CompactionOutcome`.
 
         Args:
@@ -250,9 +230,6 @@ class CompactionPipeline:
             evaluate: run the stage-5 validation fault simulations and fill
                 the FC columns (two extra fault simulations, evaluation
                 only — the compaction itself still uses ONE).
-            dropping: label against the module's *remaining* fault list and
-                update it afterwards (the paper's configuration); False
-                uses the full list and leaves the report untouched.
             stage_hook: optional ``hook(stage, **info)`` called on entry to
                 each stage of :data:`STAGES`; after tracing completes the
                 ``fault_simulation`` call carries ``cycles=<kernel ccs>``.
@@ -282,17 +259,15 @@ class CompactionPipeline:
             traced = trace_and_pack(ptp, self.module, self.gpu, self.cache,
                                     reverse_patterns)
         tracing = traced.tracing
-        # Stage 3: ONE optimized fault simulation + labeling.  Sharding
-        # happens *after* the drop filter (the scheduler sees the already
-        # filtered target list) and the merged result feeds the drop
-        # below, so cross-PTP dropping survives parallel execution.
+        # Stage 3: ONE optimized fault simulation + labeling, against
+        # the module's remaining fault list (pruned and already dropped
+        # faults never reach the scheduler).  Sharding happens *after*
+        # the drop filter and the merged result feeds the drop below, so
+        # cross-PTP dropping survives parallel execution.
         hook("fault_simulation", cycles=tracing.cycles)
-        # The remaining list under dropping, the testable list
-        # otherwise: pruned faults never reach the scheduler in any mode.
-        target_list = (self.fault_report.remaining if dropping
-                       else self.fault_report.testable)
         with self._timed("fault_simulation"):
-            fault_result = self._simulate(ptp, traced.patterns, target_list)
+            fault_result = self._simulate(ptp, traced.patterns,
+                                          self.fault_report.remaining)
         # Strict mode: re-simulate the statically pruned faults against
         # this PTP's patterns under the differential oracle.  Raises (and
         # aborts before the fault report is mutated) if any proof is
@@ -344,12 +319,9 @@ class CompactionPipeline:
                         len(verification.errors), first.render()),
                     report=verification)
 
-        if dropping:
-            # The next PTP's worklist is the shrunken remaining list, so
-            # dropped faults never reach the scheduler again.
-            dropped = self.fault_report.drop_result(fault_result, ptp.name)
-        else:
-            dropped = 0
+        # The next PTP's worklist is the shrunken remaining list, so
+        # dropped faults never reach the scheduler again.
+        dropped = self.fault_report.drop_result(fault_result, ptp.name)
 
         outcome = CompactionOutcome(
             ptp=ptp, compacted=reduction.compacted, partition=partition,

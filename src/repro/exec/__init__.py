@@ -3,12 +3,11 @@
 The exec subsystem makes compaction campaigns fast without changing what
 they compute:
 
-* :mod:`repro.exec.scheduler` — streams stage-3 fault chunks through a
-  campaign-lifetime worker pool and merges the results bit-identically
-  to the sequential run;
-* :mod:`repro.exec.pool` — the persistent worker pool itself: one-shot
-  netlist/pattern priming per worker, dynamic chunk sizing, and
-  death/poison recovery;
+* :mod:`repro.exec.scheduler` — streams stage-3 fault slices through
+  worker processes forked for each run (they inherit the simulator,
+  its good values and the fault list), recovers from worker deaths and
+  failing slices, and merges the results bit-identically to the
+  sequential run;
 * :mod:`repro.exec.cache` — content-addressed on-disk memoization of
   stage-2 tracing artifacts (SHA-256 keys over PTP content, GPU config,
   module fingerprint, stage name) with atomic writes and an LRU cap;
@@ -31,7 +30,6 @@ from .incremental import (
     validate_incremental_mode,
 )
 from .metrics import RunMetrics
-from .pool import WorkerPool
 from .scheduler import JOBS_ENV, ShardedFaultScheduler, resolve_jobs
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "fault_site_key",
     "validate_incremental_mode",
     "RunMetrics",
-    "WorkerPool",
     "JOBS_ENV",
     "ShardedFaultScheduler",
     "resolve_jobs",

@@ -9,9 +9,9 @@ campaign.  It is a store with two primitives and no component knowledge:
 * :meth:`RunMetrics.bump` — a counter ``"group.name"`` filed under its
   group.  Each component names its own counters: the scheduler writes
   ``fault_sim.*`` (sums over runs: faults, patterns, seconds, gates,
-  chunks, busy seconds, and jobs x wall seconds of pooled runs), the
-  worker pool ``pool.*``, the pipeline ``verify.*`` and ``static.*``,
-  the incremental layer ``incremental.*``.  The artifact cache counts in
+  chunks, busy seconds, and jobs x wall seconds of pooled runs) and
+  its workers' events ``pool.*``, the pipeline ``verify.*`` and
+  ``static.*``, the incremental layer ``incremental.*``.  The artifact cache counts in
   its own :attr:`~repro.exec.cache.ArtifactCache.stats`, copied in once
   by :meth:`RunMetrics.absorb_cache_stats`.
 

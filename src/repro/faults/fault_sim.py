@@ -184,10 +184,11 @@ class FaultSimulator:
         """Net-indexed list of the good-machine values for *patterns*,
         memoized on the pattern set's identity (a set never changes after
         it is built, and the memo holds a strong reference, so the
-        identity stays valid).  Chunk-resumable runs lean on this: a
-        pooled worker simulating many fault chunks of one pattern set pays
-        the logic simulation once, not once per chunk, and so does a
-        pipeline whose stage 5 re-evaluates its stage-3 pattern set."""
+        identity stays valid).  Chunked runs lean on this: the
+        scheduler computes the values once before it forks its workers,
+        which inherit the memo, and a pipeline whose stage 5
+        re-evaluates its stage-3 pattern set pays the logic simulation
+        once, not twice."""
         cached_patterns, cached_good = self._good_values_cache
         if cached_patterns is not patterns:
             cached_good = self._net_list(self._logic.run(patterns))

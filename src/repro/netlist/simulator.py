@@ -11,7 +11,7 @@ it back with ``int.from_bytes``, and :meth:`PatternSet.subset` unpacks
 every input into a bit row, gathers the kept columns and packs them again.
 Both are linear in the number of patterns.  A :class:`PatternSet` never
 changes after it is built, so its identity is a sound memo key for
-anything derived from it (good-machine values, pooled-worker priming).
+anything derived from it (good-machine values).
 """
 
 from __future__ import annotations

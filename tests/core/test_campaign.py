@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.core.campaign import COMPACTED, FAILED, ROLLED_BACK, SKIPPED, Watchdog
 from repro.errors import CampaignError, CompactionError, CycleBudgetError, PtpTimeoutError
-from repro.exec import ShardedFaultScheduler
+from repro.exec import RunMetrics, ShardedFaultScheduler
 from repro.stl import (
     SelfTestLibrary,
     generate_cntrl,
@@ -229,9 +229,9 @@ def _record_numbers(reports):
 
 def test_caller_owned_scheduler_serves_two_campaigns(sfu_module, gpu):
     """One pooled scheduler reused across two campaigns gives each the
-    records of a campaign with a fresh scheduler: the pool keeps no state
-    from the first campaign's fault dropping that could skip faults in
-    the second."""
+    records of a campaign with a fresh scheduler: the scheduler keeps no
+    state from the first campaign's fault dropping that could skip
+    faults in the second."""
     ptp, __ = generate_sfu_imm(
         sfu_module, seed=1,
         atpg_random_patterns=SMOKE.sfu_random_patterns,
@@ -245,9 +245,11 @@ def test_caller_owned_scheduler_serves_two_campaigns(sfu_module, gpu):
             scheduler=scheduler))
 
     fresh = [campaign(), campaign()]
-    with ShardedFaultScheduler(jobs=2, min_faults_per_shard=1) as shared:
-        reused = [campaign(shared), campaign(shared)]
-        assert shared._pool is not None, "the campaigns never used the pool"
+    metrics = RunMetrics()
+    shared = ShardedFaultScheduler(jobs=2, min_faults_per_shard=1,
+                                   metrics=metrics)
+    reused = [campaign(shared), campaign(shared)]
+    assert metrics.pool["workers_spawned"], "the campaigns never forked"
     assert reused == fresh
     (__, status, numbers), = fresh[1]
     assert status == COMPACTED

@@ -128,11 +128,7 @@ def _run_campaign(module, stl, cache, incremental, engine, jobs=None,
     metrics = RunMetrics()
     pipeline = _pipeline(module, engine, cache=cache, metrics=metrics,
                          jobs=jobs, incremental=incremental)
-    campaign = CompactionCampaign(pipeline)
-    try:
-        report = campaign.run(stl, evaluate=evaluate)
-    finally:
-        pipeline.close()
+    report = CompactionCampaign(pipeline).run(stl, evaluate=evaluate)
     return report, _fault_state(pipeline), \
         pipeline.fault_report.fingerprint(), metrics
 
@@ -222,7 +218,6 @@ def test_kill_and_incremental_resume_is_bit_identical(du_module, gpu,
     reference_report = reference.run(_du_stl(), evaluate=False)
     reference_state = _fault_state(reference.pipeline)
     reference_print = reference.pipeline.fault_report.fingerprint()
-    reference.pipeline.close()
 
     cache = ArtifactCache(str(tmp_path / "cache"))
     path = str(tmp_path / "campaign.json")
@@ -243,7 +238,6 @@ def test_kill_and_incremental_resume_is_bit_identical(du_module, gpu,
     with pytest.raises(KeyboardInterrupt):
         killed.run(_du_stl(), evaluate=False)
     monkeypatch.setattr(_Pipeline, "compact", real_compact)
-    killed.pipeline.close()
 
     resumed = CompactionCampaign(
         _pipeline(du_module, engine, gpu=gpu, cache=cache,
@@ -256,7 +250,6 @@ def test_kill_and_incremental_resume_is_bit_identical(du_module, gpu,
         reference_report.coverage_percent)
     statuses = [r.status for r in resumed_report.records]
     assert statuses == [SKIPPED] + [COMPACTED] * 2
-    resumed.pipeline.close()
 
 
 # -- satellite: cross-PTP drop carry-over under restore ------------------
@@ -274,7 +267,6 @@ def test_drop_carry_over_when_first_ptp_restores_from_cache(du_module,
     cold = CompactionPipeline(du_module, cache=cache, incremental="on")
     cold.compact(imm, evaluate=False)
     cold.compact(mem, evaluate=False)
-    cold.close()
 
     edited_mem = _rewrite_image_word(random.Random(3), mem)
     assert edited_mem.global_image != mem.global_image
@@ -287,13 +279,11 @@ def test_drop_carry_over_when_first_ptp_restores_from_cache(du_module,
     assert imm_resimulated == 0  # IMM unchanged: restored verbatim
     assert metrics.incremental["faults_restored"] > 0
     warm.compact(edited_mem, evaluate=False)
-    warm.close()
 
     scratch = CompactionPipeline(du_module,
                                  cache=ArtifactCache(str(tmp_path / "c2")))
     scratch.compact(imm, evaluate=False)
     scratch.compact(edited_mem, evaluate=False)
-    scratch.close()
 
     assert _fault_state(warm) == _fault_state(scratch)
     assert warm.fault_report.fingerprint() == (

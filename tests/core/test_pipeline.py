@@ -59,13 +59,6 @@ def test_dropping_carries_across_ptps(du_pipeline):
     assert second.compacted_size <= standalone.compacted_size
 
 
-def test_dropping_false_leaves_report_untouched(du_module, gpu):
-    pipeline = CompactionPipeline(du_module, gpu=gpu)
-    pipeline.compact(generate_imm(seed=4, num_sbs=8), dropping=False)
-    assert pipeline.fault_report.remaining_faults == (
-        pipeline.fault_report.total_faults)
-
-
 def test_cntrl_duration_compacts_less_than_size(du_pipeline):
     outcome = du_pipeline.compact(generate_cntrl(seed=4, num_sbs=18))
     # The parametric loop survives whole, so duration reduction lags size

@@ -5,14 +5,14 @@ independent of *how* the simulation executes, so the load-bearing test is
 a hypothesis oracle over random netlists and pattern sets: first-detection
 ccs and SpT signature verdicts must be bit-identical across
 {inline, pool} x {cone, event} x jobs in {1, 2, 4, 7} — including the
-cross-PTP fault-dropping carry-over through one shared pool.  The pool's chunk floor is lowered to one fault, so
-every pooled run streams more chunks than it has workers and the last
-chunk is usually shorter than the rest.
+cross-PTP fault-dropping carry-over through one shared scheduler.  The
+scheduler's chunk floor is lowered to one fault, so every pooled run
+streams more chunks than it has workers and the last chunk is usually
+shorter than the rest.
 
-The schedulers (and their worker pools) are module-scoped: every example
-streams through the same long-lived workers, which is exactly the
-campaign-lifetime reuse the pool exists for (and what surfaces stale-state
-bugs a fresh-pool-per-test suite would hide).
+The schedulers are module-scoped: every example runs through the same
+scheduler objects, as a campaign does (which surfaces stale-state bugs a
+fresh-scheduler-per-test suite would hide).
 """
 
 import random
@@ -20,7 +20,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.exec.pool as pool_mod
+import repro.exec.scheduler as scheduler_mod
 from repro.exec import RunMetrics, ShardedFaultScheduler
 from repro.faults import FaultList, FaultSimulator
 from repro.faults.dropping import FaultListReport
@@ -65,7 +65,7 @@ def pools():
         for jobs in JOB_COUNTS
     }
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pool_mod, "MIN_AUTO_CHUNK", 1)
+        patch.setattr(scheduler_mod, "MIN_AUTO_CHUNK", 1)
         yield schedulers
     for scheduler in schedulers.values():
         scheduler.close()
@@ -88,9 +88,8 @@ def test_pool_is_bit_identical_across_engines_jobs_and_chunks(pools, seed):
     rng = random.Random(seed)
     nl = _random_netlist(rng)
     patterns = _random_patterns(rng, nl, rng.randrange(1, 12))
-    # The uncollapsed list mixes canonical faults (shipped as ids) with
-    # input-pin faults outside the collapsed enumeration (shipped as
-    # literal StuckAtFault objects) — both entry paths stay covered.
+    # The uncollapsed list mixes canonical faults with input-pin faults
+    # outside the collapsed enumeration.
     fault_list = FaultList(nl, enumerate_faults(nl, collapse=False))
     reference = FaultSimulator(nl, engine="cone").run(patterns, fault_list)
 

@@ -1,5 +1,8 @@
 """Sharded fault simulation: bit-identical merge, dropping, fallback."""
 
+import multiprocessing
+import multiprocessing.context
+
 import pytest
 
 from repro.core.pipeline import CompactionPipeline
@@ -104,27 +107,26 @@ def test_small_fault_lists_run_inline(du_workload):
 
 
 def test_pool_failure_falls_back_inline(du_workload, monkeypatch):
-    import repro.exec.scheduler as sched_mod
+    """A worker that cannot be started, or a platform without fork, runs
+    the simulation inline and counts the fallback."""
+    def refuse(process):
+        raise OSError("no process spawning in this sandbox")
 
-    class BrokenPool:
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def simulate(self, *args, **kwargs):
-            raise OSError("no process spawning in this sandbox")
-
-        def close(self):
-            pass
-
-    monkeypatch.setattr(sched_mod, "WorkerPool", BrokenPool)
     simulator, patterns, fault_list = du_workload
+    sequential = simulator.run(patterns, fault_list)
     metrics = RunMetrics()
-    with ShardedFaultScheduler(jobs=4, metrics=metrics) as scheduler:
-        result = scheduler.run(simulator, patterns, fault_list)
-    assert result.first_detection == simulator.run(
-        patterns, fault_list).first_detection
-    assert metrics.groups["fault_sim"]["inline_fallback"] == 1
+    scheduler = ShardedFaultScheduler(jobs=4, metrics=metrics)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        refuse)
+    result = scheduler.run(simulator, patterns, fault_list)
+    assert result.first_detection == sequential.first_detection
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    result = scheduler.run(simulator, patterns, fault_list)
+    assert result.first_detection == sequential.first_detection
+    assert metrics.groups["fault_sim"]["inline_fallback"] == 2
     assert "chunks" not in metrics.groups["fault_sim"]
+    assert metrics.pool["workers_spawned"] == 0
 
 
 # -- dropping carried across PTPs ------------------------------------------
@@ -170,5 +172,3 @@ def test_dropping_across_two_ptps_survives_sharding_and_engine(
     assert par_fps == seq_fps
     assert (par_pipeline.fault_report.remaining_faults
             == seq_pipeline.fault_report.remaining_faults)
-    seq_pipeline.close()
-    par_pipeline.close()

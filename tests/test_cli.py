@@ -1,9 +1,12 @@
 """CLI tool: subcommands, artifacts, error handling."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.stl.io import load_ptp
 
@@ -42,6 +45,23 @@ def test_analyze_text_report(capsys):
     assert "dominance" in out
     assert "untestable" in out
     assert "scoap CC0" in out
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """``repro analyze | head -1``: a reader that closes the pipe early
+    gets exit status 1 and no BrokenPipeError traceback on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "analyze", "--module",
+         "decoder_unit"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
 
 
 def test_analyze_json_covers_all_modules(capsys):
@@ -278,7 +298,10 @@ def test_compact_pool_flags(tmp_path, capsys):
 
     pooled = json.loads((tmp_path / "pooled.json").read_text())
     inline = json.loads((tmp_path / "inline.json").read_text())
-    assert pooled["pool"]["workers_spawned"] == 2
+    # Each pooled run (stage 3 and both stage-5 evaluations) forks its
+    # own two workers.
+    assert pooled["fault_sim"]["runs"] == 3
+    assert pooled["pool"]["workers_spawned"] == 2 * 3
     assert pooled["pool"]["chunks_dispatched"] >= 2
     assert inline["pool"] == {}
     assert inline["pool"].get("workers_spawned", 0) == 0

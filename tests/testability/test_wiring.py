@@ -120,9 +120,9 @@ def test_metrics_static_gauges_accumulate_and_render(du_module):
     metrics = RunMetrics()
     assert metrics.groups["static"]["prune_mode"] == "off"
     for __ in range(2):
-        with CompactionPipeline(du_module, metrics=metrics,
-                                static_prune="safe") as pipeline:
-            pruned = pipeline.fault_report.untestable_faults
+        pipeline = CompactionPipeline(du_module, metrics=metrics,
+                                      static_prune="safe")
+        pruned = pipeline.fault_report.untestable_faults
     assert pruned > 0
     assert metrics.groups["static"] == {"prune_mode": "safe",
                                         "faults_pruned_static": 2 * pruned,
