@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
-"""Compare the one-fault-simulation method against prior-work baselines.
+"""Compare the one-fault-simulation method against the iterative baseline.
 
-Compacts the same IMM-style PTP three ways — the paper's pipeline, the
-iterative remove-and-resimulate baseline ([13]-[16] style), and the
-reordering baseline ([17] style, on an SFU PTP where reordering is sound)
-— and prints fault-simulation counts, wall time, and resulting sizes.
+Compacts the same IMM-style PTP two ways — the paper's pipeline and the
+iterative remove-and-resimulate baseline ([13]-[16] style) — and prints
+fault-simulation counts, wall time, and resulting sizes.
 
 Run:  python examples/baseline_comparison.py
 """
 
 import time
 
-from repro.baselines import compact_by_reordering, compact_iteratively
+from repro.baselines import compact_iteratively
 from repro.core import CompactionPipeline
-from repro.netlist.modules import build_decoder_unit, build_sfu
-from repro.stl import generate_imm, generate_sfu_imm
+from repro.netlist.modules import build_decoder_unit
+from repro.stl import generate_imm
 
 
 def main():
@@ -38,17 +37,8 @@ def main():
         "iterative [13-16]", theirs.fault_simulations,
         theirs.wall_seconds, theirs.compacted_size))
 
-    sfu = build_sfu(8)
-    sfu_ptp, __ = generate_sfu_imm(sfu, seed=3, atpg_random_patterns=64,
-                                   atpg_max_backtracks=5)
-    reordered = compact_by_reordering(sfu_ptp, sfu)
-    print("{:<22} {:>10} {:>12.2f} {:>10}   (SFU PTP, {} instr)".format(
-        "reordering [17]", reordered.fault_simulations,
-        reordered.wall_seconds, reordered.compacted_size, sfu_ptp.size))
-
-    print("\nThe proposed method matches the iterative baseline's result "
-          "with {}x fewer fault simulations.".format(
-              theirs.fault_simulations))
+    print("\nThe proposed method needs {}x fewer fault simulations than "
+          "the iterative baseline.".format(theirs.fault_simulations))
 
 
 if __name__ == "__main__":

@@ -1,13 +1,11 @@
-"""Prior-work compaction baselines for the cost/quality comparison.
+"""Prior-work compaction baseline for the cost/quality comparison.
 
 The paper's headline advantage is needing ONE fault simulation per PTP
 where prior CPU-oriented techniques need one per candidate removal
-([13]-[16]) or rely on reordering ([17]).  These implementations make that
+([13]-[16]).  The iterative remove-and-resimulate baseline makes that
 comparison measurable on identical PTPs and modules.
 """
 
 from .iterative import IterativeOutcome, compact_iteratively
-from .reorder import ReorderOutcome, compact_by_reordering
 
-__all__ = ["compact_iteratively", "IterativeOutcome",
-           "compact_by_reordering", "ReorderOutcome"]
+__all__ = ["compact_iteratively", "IterativeOutcome"]

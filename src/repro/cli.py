@@ -152,7 +152,7 @@ def cmd_lint(args):
 
 
 def cmd_analyze(args):
-    """Static testability report (SCOAP, dominance, untestability)."""
+    """Static testability report: untestability proofs and fault counts."""
     from .testability import analyze_module
 
     names = [args.module] if args.module else sorted(_MODULE_BUILDERS)
@@ -340,8 +340,8 @@ def build_parser():
 
     p_analyze = sub.add_parser(
         "analyze",
-        help="static testability report: SCOAP scores, dominance "
-             "classes, untestability proofs")
+        help="static testability report: untestability proofs and "
+             "fault counts")
     p_analyze.add_argument("--module", default=None,
                            help="target module (default: all modules)")
     p_analyze.add_argument("--width", type=int, default=16,

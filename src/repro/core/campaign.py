@@ -146,10 +146,6 @@ class CampaignReport:
     def num_failed(self):
         return len(self.by_status(FAILED))
 
-    @property
-    def num_compacted(self):
-        return len(self.by_status(COMPACTED))
-
 
 def _outcome_numbers(outcome):
     numbers = {

@@ -1,17 +1,12 @@
 """Static testability engine: pre-simulation triage of the fault list.
 
-Three analyses over the levelized netlist, none of which runs a single
-simulation pattern:
+:mod:`~repro.testability.untestable` proves faults untestable
+(UT001/UT002/UT003) over the levelized netlist without running a single
+simulation pattern.  Its proofs feed the FC fault list: ATPG skips the
+proven targets, and ``--static-prune`` drops them from the FC
+denominator.
 
-* :mod:`~repro.testability.scoap` — SCOAP CC0/CC1/CO testability scores
-  (estimates, reported by ``repro analyze``);
-* :mod:`~repro.testability.dominance` — dominance collapsing over
-  fanout-free dominator chains (id-preserving class map, attribution
-  only);
-* :mod:`~repro.testability.untestable` — untestability *proofs*
-  (UT001/UT002/UT003), the only analysis allowed to prune faults.
-
-:mod:`~repro.testability.analysis` runs all three for the ``repro
+:mod:`~repro.testability.analysis` runs the prover for the ``repro
 analyze`` report and holds the static-prune mode and its strict
 cross-check.
 """
@@ -23,24 +18,16 @@ from .analysis import (
     cross_check_pruned,
     validate_prune_mode,
 )
-from .dominance import DominanceResult, collapse_dominance
-from .scoap import INF, ScoapScores, compute_scoap, scoap_summary
 from .untestable import PROOF_KINDS, UntestabilityProof, UntestabilityProver, propagate_constants
 
 __all__ = [
-    "INF",
     "PROOF_KINDS",
     "PRUNE_MODES",
-    "DominanceResult",
-    "ScoapScores",
     "TestabilityReport",
     "UntestabilityProof",
     "UntestabilityProver",
     "analyze_module",
-    "collapse_dominance",
-    "compute_scoap",
     "cross_check_pruned",
     "propagate_constants",
-    "scoap_summary",
     "validate_prune_mode",
 ]

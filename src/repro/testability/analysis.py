@@ -7,9 +7,9 @@ the ``strict`` mode's differential oracle: it re-simulates every pruned
 fault with the ``cone`` reference engine and raises if any proof is ever
 contradicted by an actual detection.
 
-:func:`analyze_module` runs SCOAP, the untestability prover and
-dominance collapsing over one module and produces the ``repro analyze``
-report document.
+:func:`analyze_module` runs the untestability prover over one module and
+produces the ``repro analyze`` report document: the proofs and the fault
+counts.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import TestabilityError
-from .dominance import collapse_dominance
-from .scoap import INF, compute_scoap, scoap_summary
 from .untestable import PROOF_KINDS, UntestabilityProver
 
 #: Valid values of the flow-level ``static_prune`` knob.
@@ -89,9 +87,6 @@ class TestabilityReport:
     nets: int
     observed: int
     total_faults: int
-    scoap: dict
-    dominance_classes: int
-    dominance_collapsed_away: int
     untestable_by_kind: dict
     proofs: list = field(default_factory=list)
 
@@ -113,10 +108,7 @@ class TestabilityReport:
                 "total": self.total_faults,
                 "testable": self.testable_faults,
                 "untestable": self.untestable_count,
-                "dominance_classes": self.dominance_classes,
-                "dominance_collapsed_away": self.dominance_collapsed_away,
             },
-            "scoap": _jsonable_scoap(self.scoap),
             "untestable_by_kind": dict(self.untestable_by_kind),
             "proofs": [proof.to_dict() for proof in self.proofs],
         }
@@ -126,10 +118,6 @@ class TestabilityReport:
             self.module, self.gates, self.nets, self.observed)]
         lines.append("  faults            : {} collapsed stuck-at".format(
             self.total_faults))
-        lines.append("  dominance         : {} class(es), {} fault(s) "
-                     "collapsed away".format(
-                         self.dominance_classes,
-                         self.dominance_collapsed_away))
         lines.append("  untestable        : {} proven ({})".format(
             self.untestable_count,
             ", ".join("{} {}".format(count, kind) for kind, count
@@ -137,14 +125,6 @@ class TestabilityReport:
             or "none"))
         lines.append("  testable          : {} (the safe-prune FC "
                      "denominator)".format(self.testable_faults))
-        for name in ("cc0", "cc1", "co"):
-            stats = self.scoap[name]
-            mean = ("n/a" if stats["mean"] is None
-                    else "{:.1f}".format(stats["mean"]))
-            lines.append("  scoap {:<11} : max {}, mean {}, {} "
-                         "unreachable".format(
-                             name.upper(), stats["max"], mean,
-                             stats["unreachable"]))
         shown = self.proofs[:max_proofs]
         if shown:
             lines.append("  proofs:")
@@ -157,24 +137,12 @@ class TestabilityReport:
         return "\n".join(lines)
 
 
-def _jsonable_scoap(summary):
-    """INF-free copy of a :func:`scoap_summary` (JSON has no inf)."""
-    clean = {}
-    for name, stats in summary.items():
-        clean[name] = {
-            key: (None if value == INF else value)
-            for key, value in stats.items()
-        }
-    return clean
-
-
 def analyze_module(netlist, name=None):
-    """Run the full static testability analysis of one module netlist,
-    observed at its primary outputs.
+    """Prove the untestable faults of one module netlist, observed at
+    its primary outputs.
 
-    Returns a :class:`TestabilityReport` covering SCOAP summary
-    statistics, dominance classes, and every untestability proof over
-    the module's collapsed fault list.
+    Returns a :class:`TestabilityReport` holding every untestability
+    proof over the module's collapsed fault list and the fault counts.
     """
     from ..faults.fault import FaultList
 
@@ -183,16 +151,12 @@ def analyze_module(netlist, name=None):
     by_kind = {}
     for proof in proofs.values():
         by_kind[proof.kind] = by_kind.get(proof.kind, 0) + 1
-    dominance = collapse_dominance(netlist, fault_list)
     return TestabilityReport(
         module=name or netlist.name,
         gates=netlist.num_gates,
         nets=netlist.num_nets,
         observed=len(netlist.outputs),
         total_faults=len(fault_list),
-        scoap=scoap_summary(compute_scoap(netlist)),
-        dominance_classes=dominance.num_classes,
-        dominance_collapsed_away=dominance.num_collapsed_away,
         untestable_by_kind=by_kind,
         proofs=list(proofs.values()),
     )

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.baselines import compact_by_reordering, compact_iteratively
+from repro.baselines import compact_iteratively
 from repro.core import CompactionPipeline, run_logic_tracing
-from repro.faults import FaultList, FaultSimulator
-from repro.stl import generate_imm, generate_sfu_imm
+from repro.stl import generate_imm
 
 
 @pytest.fixture(scope="module")
@@ -50,21 +49,3 @@ def test_iterative_compacted_is_executable(du_module, gpu, imm):
     outcome = compact_iteratively(imm, du_module, gpu=gpu)
     tracing = run_logic_tracing(outcome.compacted, du_module, gpu=gpu)
     assert tracing.cycles == outcome.compacted_cycles
-
-
-def test_reordering_baseline_on_sfu(sfu_module, gpu):
-    ptp, __ = generate_sfu_imm(sfu_module, seed=8, atpg_random_patterns=24,
-                               atpg_max_backtracks=3)
-    outcome = compact_by_reordering(ptp, sfu_module, gpu=gpu)
-    assert outcome.fault_simulations == 1
-    assert outcome.compacted_size <= outcome.original_size
-    # The reordered program still executes and preserves module FC.
-    fault_list = FaultList(sfu_module.netlist)
-    simulator = FaultSimulator(sfu_module.netlist)
-    original = simulator.run(
-        run_logic_tracing(ptp, sfu_module, gpu=gpu)
-        .pattern_report.to_pattern_set(), fault_list)
-    reordered = simulator.run(
-        run_logic_tracing(outcome.compacted, sfu_module, gpu=gpu)
-        .pattern_report.to_pattern_set(), fault_list)
-    assert reordered.num_detected == original.num_detected

@@ -42,9 +42,8 @@ def test_analyze_text_report(capsys):
     assert main(["analyze", "--module", "decoder_unit"]) == 0
     out = capsys.readouterr().out
     assert "TESTABILITY decoder_unit" in out
-    assert "dominance" in out
-    assert "untestable" in out
-    assert "scoap CC0" in out
+    assert "untestable        : 86 proven (86 UT002)" in out
+    assert "testable          : 3081" in out
 
 
 def test_closed_stdout_exits_1_without_traceback():
@@ -71,12 +70,20 @@ def test_analyze_json_covers_all_modules(capsys):
     data = json.loads(capsys.readouterr().out)
     assert [doc["module"] for doc in data] == \
         ["decoder_unit", "sfu", "sp_core"]
+    # Seed counts of the three modules at the default width.
+    expected = {"decoder_unit": (86, 3081), "sfu": (2454, 12915),
+                "sp_core": (1041, 9745)}
     for doc in data:
-        assert doc["faults"]["untestable"] > 0
+        assert set(doc) == {"module", "gates", "nets", "observed", "faults",
+                            "untestable_by_kind", "proofs"}
+        assert set(doc["faults"]) == {"total", "testable", "untestable"}
+        assert (doc["faults"]["untestable"],
+                doc["faults"]["testable"]) == expected[doc["module"]]
         assert doc["faults"]["testable"] + doc["faults"]["untestable"] == \
             doc["faults"]["total"]
         assert len(doc["proofs"]) == doc["faults"]["untestable"]
-        assert doc["scoap"]["co"]["max"] is not None
+        assert sum(doc["untestable_by_kind"].values()) == \
+            doc["faults"]["untestable"]
 
 
 def test_compact_static_prune_strict_smoke(tmp_path, capsys):
